@@ -7,7 +7,7 @@ from .errors import (ExpmorseError, InternalConsistencyError, InvalidArgumentErr
                      InvalidChainError, LemmaViolationError, PreconditionError,
                      ResourceLimitError)
 from .gf2 import (BettiTable, Gf2Matrix, betti_bounded, betti_of_chain,
-                  boundary_matrix, chain_from_json, chain_to_json, rank_gf2)
+                  boundary_matrix, rank_gf2)
 from .graphs import (FnVertex, Graph, categorical_product, complete_graph,
                      core_vertices, cycle_graph, exponential_graph, find_fold,
                      fold_core_exponential, fold_reduce, graph_from_json,
@@ -16,7 +16,7 @@ from .homc import HomCell, enumerate_hom_cells, hom_cover_digraph, order_complex
 from .morse import (AcyclicityResult, CriticalSet, DescentCache, FacePoset,
                     Matching, alternating_path_parity, critical_cells,
                     enumerate_alternating_paths, face_poset, is_acyclic,
-                    matching_to_csv, morse_boundaries, validate_matching)
+                    morse_boundaries, validate_matching)
 from .pipeline import (LEMMA_KEYS, CorollaryReport, PipelineReport,
                        build_matching_mu, closed_form_critical,
                        corollary1_report, delta_poset, incidence_matrix_A,

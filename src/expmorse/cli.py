@@ -10,8 +10,7 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from .complexes import Complex, neighborhood_complex
 from .errors import ExpmorseError, InvalidArgumentError, ResourceLimitError
@@ -22,44 +21,12 @@ from .graphs import (Graph, complete_graph, cycle_graph, exponential_graph,
 from .homc import enumerate_hom_cells, order_complex_of_hom
 from .pipeline import LEMMA_KEYS, corollary1_report, theorem1_report, verify_lemma
 
-__all__ = ["RunConfig", "cmd_reproduce", "cmd_verify", "cmd_compute", "main"]
+__all__ = ["cmd_reproduce", "cmd_verify", "cmd_compute", "main"]
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_BADARGS = 2
 EXIT_RESOURCE = 3
-
-
-@dataclass
-class RunConfig:
-    """Parsed invocation; one instance drives exactly one command."""
-
-    command: str
-    n: int = 0
-    m: Optional[int] = None
-    cor1: bool = False
-    lemma: str = "all"
-    seed: int = 0
-    what: str = ""
-    graph: Optional[str] = None
-    exp: Optional[Tuple[int, int]] = None
-    g: Optional[str] = None
-    h: Optional[str] = None
-    max_dim: Optional[int] = None
-    max_faces: int = 5_000_000
-    method: str = "both"
-    format: str = "json"
-    threads: Optional[int] = None
-
-    def __post_init__(self):
-        if self.threads is None:
-            self.threads = os.cpu_count() or 1
-        if self.threads < 1:
-            raise InvalidArgumentError("--threads must be at least 1")
-        if self.max_faces < 1:
-            raise InvalidArgumentError("--max-faces must be positive")
-        if self.max_dim is not None and self.max_dim < 0:
-            raise InvalidArgumentError("--max-dim must be nonnegative")
 
 
 def _atom(spec: str) -> Graph:
@@ -77,12 +44,12 @@ def _atom(spec: str) -> Graph:
     raise InvalidArgumentError(f"unknown graph {spec!r}; use kN, cN, or a JSON file")
 
 
-def _graph_from(cfg: RunConfig) -> Graph:
-    if cfg.exp is not None:
-        a, b = cfg.exp
+def _graph_from(args: argparse.Namespace) -> Graph:
+    if args.exp is not None:
+        a, b = args.exp
         return fold_core_exponential(a, b)
-    if cfg.graph:
-        return _atom(cfg.graph)
+    if args.graph:
+        return _atom(args.graph)
     raise InvalidArgumentError("need --graph or --exp")
 
 
@@ -124,80 +91,82 @@ def _report_csv(d: dict) -> str:
     return "\n".join(out) + "\n"
 
 
-def cmd_reproduce(cfg: RunConfig) -> int:
-    if cfg.cor1:
-        if cfg.m is None:
+def cmd_reproduce(args: argparse.Namespace) -> int:
+    if args.cor1:
+        if args.m is None:
             raise InvalidArgumentError("--cor1 needs --m")
-        rep = corollary1_report(cfg.m, cfg.n)
+        rep = corollary1_report(args.m, args.n)
     else:
-        if not 3 <= cfg.n <= 5:
+        if not 3 <= args.n <= 5:
             raise InvalidArgumentError("reproduction is sized for 3 <= n <= 5")
-        rep = theorem1_report(cfg.n, include_bruteforce=cfg.method != "morse")
+        rep = theorem1_report(args.n, include_bruteforce=args.method != "morse")
     data = rep.to_json_dict()
-    if cfg.format == "csv":
+    if args.format == "csv":
         sys.stdout.write(_report_csv(data))
     else:
         _emit_json(data)
     return EXIT_OK if rep.ok else EXIT_MISMATCH
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    results = verify_lemma(cfg.n, cfg.lemma, cfg.seed)
+def cmd_verify(args: argparse.Namespace) -> int:
+    results = verify_lemma(args.n, args.lemma)
     for name, ok in results:
         sys.stdout.write(f"{name}: {'pass' if ok else 'FAIL'}\n")
     return EXIT_OK if all(ok for _, ok in results) else EXIT_MISMATCH
 
 
-def cmd_compute(cfg: RunConfig) -> int:
-    if cfg.what == "exp-graph":
-        if not cfg.g or not cfg.h:
+def cmd_compute(args: argparse.Namespace) -> int:
+    if args.max_faces < 1:
+        raise InvalidArgumentError("--max-faces must be positive")
+    if args.max_dim is not None and args.max_dim < 0:
+        raise InvalidArgumentError("--max-dim must be nonnegative")
+    if args.what == "exp-graph":
+        if not args.g or not args.h:
             raise InvalidArgumentError("exp-graph needs --g and --h")
-        E = exponential_graph(_atom(cfg.g), _atom(cfg.h))
-        if cfg.format == "csv":
+        E = exponential_graph(_atom(args.g), _atom(args.h))
+        if args.format == "csv":
             sys.stdout.write(_graph_csv(E))
         else:
             _emit_json(graph_to_json(E))
-    elif cfg.what == "fold":
-        F = fold_reduce(_graph_from(cfg))
-        if cfg.format == "csv":
+    elif args.what == "fold":
+        F = fold_reduce(_graph_from(args))
+        if args.format == "csv":
             sys.stdout.write(_graph_csv(F))
         else:
             _emit_json(graph_to_json(F))
-    elif cfg.what == "ncomplex":
-        NC = neighborhood_complex(_graph_from(cfg))
-        if cfg.format == "csv":
+    elif args.what == "ncomplex":
+        NC = neighborhood_complex(_graph_from(args))
+        if args.format == "csv":
             sys.stdout.write(_complex_csv(NC))
         else:
             from .complexes import complex_to_json
             _emit_json(complex_to_json(NC))
-    elif cfg.what == "homology":
-        NC = neighborhood_complex(_graph_from(cfg))
-        maxdim = cfg.max_dim if cfg.max_dim is not None else max(NC.dim, 0)
-        bt = betti_bounded(NC, maxdim, max_faces=cfg.max_faces)
-        if cfg.format == "csv":
+    elif args.what == "homology":
+        NC = neighborhood_complex(_graph_from(args))
+        maxdim = args.max_dim if args.max_dim is not None else max(NC.dim, 0)
+        bt = betti_bounded(NC, maxdim, max_faces=args.max_faces)
+        if args.format == "csv":
             sys.stdout.write(_betti_csv(bt))
         else:
             _emit_json(bt.to_json_dict())
-    elif cfg.what == "hom":
-        if not cfg.g or not cfg.h:
+    elif args.what == "hom":
+        if not args.g or not args.h:
             raise InvalidArgumentError("hom needs --g and --h")
-        cells = enumerate_hom_cells(_atom(cfg.g), _atom(cfg.h))
+        cells = enumerate_hom_cells(_atom(args.g), _atom(args.h))
         OC = order_complex_of_hom(cells)
-        maxdim = cfg.max_dim if cfg.max_dim is not None else max(OC.dim, 0)
-        bt = betti_bounded(OC, maxdim, max_faces=cfg.max_faces)
-        if cfg.format == "csv":
+        maxdim = args.max_dim if args.max_dim is not None else max(OC.dim, 0)
+        bt = betti_bounded(OC, maxdim, max_faces=args.max_faces)
+        if args.format == "csv":
             sys.stdout.write(_betti_csv(bt))
         else:
             _emit_json(bt.to_json_dict())
     else:
-        raise InvalidArgumentError(f"unknown compute target {cfg.what!r}")
+        raise InvalidArgumentError(f"unknown compute target {args.what!r}")
     return EXIT_OK
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker bound; results do not depend on it")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -211,15 +180,13 @@ def _build_parser() -> argparse.ArgumentParser:
     rp.add_argument("--cor1", action="store_true",
                     help="classify the core of K_m^{K_n} instead")
     rp.add_argument("--m", type=int)
-    rp.add_argument("--method", choices=("morse", "bruteforce", "both"),
-                    default="both")
+    rp.add_argument("--method", choices=("morse", "both"), default="both")
     _add_common(rp)
     rp.set_defaults(func=cmd_reproduce)
 
     vp = sub.add_parser("verify", help="run structural checks")
     vp.add_argument("--n", type=int, required=True)
     vp.add_argument("--lemma", choices=LEMMA_KEYS, default="all")
-    vp.add_argument("--seed", type=int, default=0)
     _add_common(vp)
     vp.set_defaults(func=cmd_verify)
 
@@ -238,33 +205,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _config_from(args: argparse.Namespace) -> RunConfig:
-    exp = getattr(args, "exp", None)
-    return RunConfig(
-        command=args.command,
-        n=getattr(args, "n", 0),
-        m=getattr(args, "m", None),
-        cor1=getattr(args, "cor1", False),
-        lemma=getattr(args, "lemma", "all"),
-        seed=getattr(args, "seed", 0),
-        what=getattr(args, "what", ""),
-        graph=getattr(args, "graph", None),
-        exp=tuple(exp) if exp else None,
-        g=getattr(args, "g", None),
-        h=getattr(args, "h", None),
-        max_dim=getattr(args, "max_dim", None),
-        max_faces=getattr(args, "max_faces", 5_000_000),
-        method=getattr(args, "method", "both"),
-        format=args.format,
-        threads=args.threads,
-    )
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _config_from(args)
-        return args.func(cfg)
+        return args.func(args)
     except InvalidArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BADARGS

@@ -73,9 +73,6 @@ class Complex:
     def dim(self) -> int:
         return max((len(f) for f in self.facets), default=0) - 1
 
-    def used_vertices(self) -> Tuple[int, ...]:
-        return tuple(v for v in range(len(self.labels)) if self._vmask[v])
-
     def facets_containing(self, face: Sequence[int]) -> List[Face]:
         face = tuple(sorted(set(face)))
         if not face:
@@ -139,12 +136,6 @@ class Complex:
             log.debug("dim %d: %d faces", d, len(faces))
             out.append(faces)
         return out
-
-    def faces_up_to(self, maxdim: int, max_faces: int = DEFAULT_MAX_FACES) -> List[Face]:
-        """Every face of dimension <= maxdim, deduplicated and sorted lexicographically."""
-        merged = [f for faces in self.faces_by_dim(maxdim, max_faces) for f in faces]
-        merged.sort()
-        return merged
 
     def is_free_pair(self, face: Sequence[int], facet: Sequence[int]) -> bool:
         """True iff `facet` is a facet of the complex and the only one containing `face`."""

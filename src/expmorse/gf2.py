@@ -21,8 +21,6 @@ __all__ = [
     "boundary_matrix",
     "betti_bounded",
     "betti_of_chain",
-    "chain_to_json",
-    "chain_from_json",
 ]
 
 
@@ -265,18 +263,3 @@ def betti_of_chain(boundaries: Sequence[Gf2Matrix]) -> BettiTable:
         raise InvalidChainError("negative Betti number; chain data is inconsistent")
     return BettiTable(betti, "morse", top)
 
-
-def chain_to_json(boundaries: Sequence[Gf2Matrix]) -> dict:
-    """Serialize a chain complex; rows are hex strings to keep the JSON compact."""
-    return {"boundaries": [
-        {"rows": b.nrows, "cols": b.ncols, "row_data": [format(r, "x") for r in b.rows]}
-        for b in boundaries]}
-
-
-def chain_from_json(data: dict) -> List[Gf2Matrix]:
-    try:
-        items = data["boundaries"]
-        return [Gf2Matrix([int(r, 16) for r in d["row_data"]], d["cols"])
-                for d in items]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidArgumentError(f"malformed chain JSON: {exc}") from exc

@@ -121,13 +121,12 @@ class Graph:
 
 
 def _bits(mask: int) -> Tuple[int, ...]:
+    """Positions of the set bits, lowest first, one step per set bit."""
     out = []
-    v = 0
     while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
+        b = mask & -mask
+        out.append(b.bit_length() - 1)
+        mask ^= b
     return tuple(out)
 
 

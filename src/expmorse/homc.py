@@ -13,7 +13,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .complexes import Complex
 from .errors import InvalidArgumentError, ResourceLimitError
-from .graphs import Graph
+from .graphs import Graph, _bits
 
 __all__ = [
     "HomCell",
@@ -45,15 +45,6 @@ class HomCell:
                    for a, b in zip(self.assignment, other.assignment))
 
 
-def _set_bits(mask: int) -> Tuple[int, ...]:
-    out = []
-    while mask:
-        b = mask & -mask
-        out.append(b.bit_length() - 1)
-        mask ^= b
-    return tuple(out)
-
-
 def enumerate_hom_cells(G: Graph, H: Graph,
                         max_configs: int = DEFAULT_MAX_CONFIGS) -> List[HomCell]:
     """All cells of Hom(G, H), sorted. Backtracks over vertices of G in order.
@@ -75,7 +66,7 @@ def enumerate_hom_cells(G: Graph, H: Graph,
 
     def common_mask(s: int) -> int:
         allowed = full
-        for v in _set_bits(s):
+        for v in _bits(s):
             allowed &= H.neighbor_mask(v)
         return allowed
 
@@ -96,7 +87,7 @@ def enumerate_hom_cells(G: Graph, H: Graph,
 
     def place(u: int):
         if u == ng:
-            cells.append(HomCell(tuple(_set_bits(s) for s in chosen)))
+            cells.append(HomCell(tuple(_bits(s) for s in chosen)))
             return
         for s in subsets:
             if ok(u, s):

@@ -8,7 +8,8 @@ descent relation; an exhaustive path enumerator is kept for cross-checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import (Callable, Dict, FrozenSet, List, Optional, Sequence, Set,
+                    Tuple, TypeVar)
 
 from .complexes import Complex, Face
 from .errors import (InternalConsistencyError, InvalidArgumentError,
@@ -25,14 +26,16 @@ __all__ = [
     "is_acyclic",
     "critical_cells",
     "DescentCache",
+    "path_cells",
     "alternating_path_parity",
     "morse_boundaries",
     "enumerate_alternating_paths",
-    "matching_to_csv",
     "DEFAULT_MAX_CELLS",
 ]
 
 DEFAULT_MAX_CELLS = 2_000_000
+
+T = TypeVar("T")
 
 
 def _subfaces(cell: Face) -> List[Face]:
@@ -195,22 +198,18 @@ def critical_cells(P: FacePoset, M: Matching) -> CriticalSet:
         for d in range(P.dim + 1)))
 
 
-class DescentCache:
-    """Memoized alternating-descent supports for a fixed acyclic matching.
+def _descent_walk(M: Matching, leaf: Callable[[Face], T],
+                  combine: Callable[[List[T]], T]) -> Callable[[Face], T]:
+    """Memoized post-order walk down the descent relation of an acyclic matching.
 
-    For a cell x, sets(x) is the set of critical cells of the same dimension
-    reachable from x by descent with odd path count. The boundary support of
-    a critical cell is the XOR of its facets' sets, which includes the
-    direct facet case.
+    The value of a cell with no cofacet partner is leaf(cell); a matched
+    lower cell x combines the values of the other facets of its partner.
+    Iterative, so path length is not bounded by the recursion limit.
     """
+    pairs = M.pairs
+    memo: Dict[Face, T] = {}
 
-    def __init__(self, P: FacePoset, M: Matching):
-        self._pairs = M.pairs
-        self._upper = M.reverse()
-        self._memo: Dict[Face, FrozenSet[Face]] = {}
-
-    def sets(self, cell: Face) -> FrozenSet[Face]:
-        memo = self._memo
+    def value(cell: Face) -> T:
         if cell in memo:
             return memo[cell]
         expanding: Set[Face] = set()
@@ -221,9 +220,9 @@ class DescentCache:
                 expanding.discard(x)
                 stack.pop()
                 continue
-            up = self._pairs.get(x)
+            up = pairs.get(x)
             if up is None:
-                memo[x] = frozenset((x,)) if x not in self._upper else frozenset()
+                memo[x] = leaf(x)
                 stack.pop()
                 continue
             kids = [y for y in _subfaces(up) if y != x]
@@ -235,19 +234,62 @@ class DescentCache:
                 expanding.add(x)
                 stack.extend(missing)
                 continue
-            acc: Set[Face] = set()
-            for y in kids:
-                acc ^= memo[y]
-            memo[x] = frozenset(acc)
+            memo[x] = combine([memo[y] for y in kids])
             expanding.discard(x)
             stack.pop()
         return memo[cell]
 
+    return value
+
+
+def _xor(supports: List[FrozenSet[Face]]) -> FrozenSet[Face]:
+    acc: Set[Face] = set()
+    for s in supports:
+        acc ^= s
+    return frozenset(acc)
+
+
+class DescentCache:
+    """Memoized alternating-descent supports for a fixed acyclic matching.
+
+    For a cell x, sets(x) is the set of critical cells of the same dimension
+    reachable from x by descent with odd path count. The boundary support of
+    a critical cell is the XOR of its facets' sets, which includes the
+    direct facet case.
+    """
+
+    def __init__(self, P: FacePoset, M: Matching):
+        upper = M.reverse()
+        self.sets = _descent_walk(
+            M, lambda x: frozenset() if x in upper else frozenset((x,)), _xor)
+
     def boundary_support(self, tau: Face) -> FrozenSet[Face]:
-        acc: Set[Face] = set()
-        for y in _subfaces(tau):
-            acc ^= self.sets(y)
-        return frozenset(acc)
+        return _xor([self.sets(y) for y in _subfaces(tau)])
+
+
+def path_cells(M: Matching, starts: Sequence[Face]) -> Set[Face]:
+    """Every cell visited by some complete alternating path out of `starts`.
+
+    A lower cell is productive when some descent from it ends in a critical
+    cell; only productive branches lie on actual paths. Requires an acyclic
+    matching.
+    """
+    pairs = M.pairs
+    upper = M.reverse()
+    productive = _descent_walk(M, lambda x: x not in upper, any)
+    seen: Set[Face] = set(starts)
+    agenda = [y for tau in starts for y in _subfaces(tau) if productive(y)]
+    while agenda:
+        x = agenda.pop()
+        if x in seen:
+            continue
+        seen.add(x)
+        up = pairs.get(x)
+        if up is None:
+            continue
+        seen.add(up)
+        agenda.extend(y for y in _subfaces(up) if y != x and productive(y))
+    return seen
 
 
 def alternating_path_parity(P: FacePoset, M: Matching, tau: Face, sigma: Face,
@@ -317,14 +359,3 @@ def enumerate_alternating_paths(P: FacePoset, M: Matching, start: Face,
     for y in _subfaces(start):
         descend(y, (start,))
     return out
-
-
-def matching_to_csv(P: FacePoset, M: Matching) -> str:
-    """Matched pairs as CSV, cells rendered as space-joined vertex labels."""
-    labels = P.labels
-    lines = ["cell,matched_cell"]
-    for low in sorted(M.pairs, key=lambda c: (len(c), c)):
-        up = M.pairs[low]
-        lines.append(" ".join(labels[v] for v in low) + ","
-                     + " ".join(labels[v] for v in up))
-    return "\n".join(lines) + "\n"

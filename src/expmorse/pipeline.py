@@ -11,16 +11,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 from math import factorial
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .complexes import Complex, Face, build_delta, delta_facet_families, neighborhood_complex
 from .errors import (InternalConsistencyError, InvalidArgumentError,
                      LemmaViolationError)
 from .gf2 import Gf2Matrix, betti_bounded, betti_of_chain, rank_gf2
 from .graphs import FnVertex, core_vertices, fold_core_exponential, variant
-from .morse import (CriticalSet, DescentCache, FacePoset, Matching,
-                    critical_cells, face_poset, is_acyclic, morse_boundaries,
-                    validate_matching)
+from .morse import (AcyclicityResult, CriticalSet, DescentCache, FacePoset,
+                    Matching, critical_cells, face_poset, is_acyclic,
+                    morse_boundaries, path_cells, validate_matching)
 
 __all__ = [
     "PipelineReport",
@@ -52,10 +52,6 @@ def _delta(n: int) -> Complex:
 def delta_poset(n: int) -> FacePoset:
     """Face poset of the collapsed model, cached per n."""
     return face_poset(_delta(n))
-
-
-def _facets_of(cell: Face) -> List[Face]:
-    return [cell[:t] + cell[t + 1:] for t in range(len(cell))]
 
 
 @lru_cache(maxsize=None)
@@ -134,6 +130,11 @@ def _critical(n: int) -> CriticalSet:
 @lru_cache(maxsize=None)
 def _descent(n: int) -> DescentCache:
     return DescentCache(delta_poset(n), build_matching_mu(n))
+
+
+@lru_cache(maxsize=None)
+def _acyclicity(n: int) -> AcyclicityResult:
+    return is_acyclic(delta_poset(n), build_matching_mu(n))
 
 
 @lru_cache(maxsize=None)
@@ -229,6 +230,11 @@ def incidence_matrix_A(n: int) -> Gf2Matrix:
     return _incidence(n)[0]
 
 
+@lru_cache(maxsize=None)
+def _incidence_rank(n: int) -> int:
+    return rank_gf2(_incidence(n)[0])
+
+
 def _two_path_targets(n: int, tau: Face) -> Optional[Set[Face]]:
     """The two 1-cells a critical triangle should reach, or None if malformed."""
     verts, index = _core(n)
@@ -259,71 +265,10 @@ def _check_two_path_targets(n: int) -> bool:
     return True
 
 
-def _path_cells_from(P: FacePoset, M: Matching, starts: Sequence[Face]) -> Set[Face]:
-    """Every cell visited by some complete alternating path out of `starts`.
-
-    A lower cell is productive when some descent from it ends in a critical
-    cell; only productive branches lie on actual paths. Requires an acyclic
-    matching.
-    """
-    pairs = M.pairs
-    upper = M.reverse()
-    good: Dict[Face, bool] = {}
-
-    def compute_good(cell: Face) -> bool:
-        stack = [cell]
-        expanding: Set[Face] = set()
-        while stack:
-            x = stack[-1]
-            if x in good:
-                expanding.discard(x)
-                stack.pop()
-                continue
-            up = pairs.get(x)
-            if up is None:
-                good[x] = x not in upper
-                stack.pop()
-                continue
-            kids = [y for y in _facets_of(up) if y != x]
-            missing = [y for y in kids if y not in good]
-            if missing:
-                if x in expanding:
-                    raise InternalConsistencyError(
-                        f"descent from {x} loops back; matching is cyclic")
-                expanding.add(x)
-                stack.extend(missing)
-                continue
-            good[x] = any(good[y] for y in kids)
-            expanding.discard(x)
-            stack.pop()
-        return good[cell]
-
-    seen: Set[Face] = set(starts)
-    agenda: List[Face] = []
-    for tau in starts:
-        for y in _facets_of(tau):
-            if compute_good(y):
-                agenda.append(y)
-    while agenda:
-        x = agenda.pop()
-        if x in seen:
-            continue
-        seen.add(x)
-        up = pairs.get(x)
-        if up is None:
-            continue
-        seen.add(up)
-        for y in _facets_of(up):
-            if y != x and compute_good(y):
-                agenda.append(y)
-    return seen
-
-
 def _check_paths_avoid_base(n: int) -> bool:
-    P = delta_poset(n)
-    M = build_matching_mu(n)
     starts = _injective_triangles(_critical(n), n)
-    return all(cell[0] != 0 for cell in _path_cells_from(P, M, starts))
+    return all(cell[0] != 0
+               for cell in path_cells(build_matching_mu(n), starts))
 
 
 def _check_wn(n: int) -> bool:
@@ -385,13 +330,8 @@ def theorem1_report(n: int, include_bruteforce: bool = True) -> PipelineReport:
     facets = tuple((k, len(v)) for k, v in fams.items())
     P = delta_poset(n)
     M = build_matching_mu(n)
-    checks: List[Tuple[str, bool]] = []
 
-    checks.append(("matching-valid", not validate_matching(P, M)))
-    acy = is_acyclic(P, M)
-    checks.append(("matching-acyclic", acy.acyclic))
-    crit = _critical(n)
-    checks.append(("critical-census", crit == closed_form_critical(n)))
+    checks = _run_checks(n, ("matching", "acyclic", "census"))
     checks.append(("facet-count-formulas", (
         dict(facets) == {
             "M1": factorial(n + 1) * n,
@@ -400,26 +340,15 @@ def theorem1_report(n: int, include_bruteforce: bool = True) -> PipelineReport:
             "A3": n + 1,
         })))
 
-    cache = _descent(n)
-    chain = morse_boundaries(P, M, cache)
+    chain = morse_boundaries(P, M, _descent(n))
     rank_d2 = chain[1].rank()
     bt = betti_of_chain(chain)
 
-    try:
-        A, rows, cols = _incidence(n)
-        checks.append(("column-weight-two", True))
-        checks.append(("column-sums-even",
-                       all(w % 2 == 0 for w in A.column_weights())))
-        rank_a = rank_gf2(A)
-        checks.append(("incidence-rank", rank_a == factorial(n) - 1))
-        checks.append(("rank-d2-consistent", rank_a == rank_d2))
-    except LemmaViolationError:
-        checks.append(("column-weight-two", False))
-
-    checks.append(("two-path-targets", _check_two_path_targets(n)))
-    checks.append(("paths-avoid-first-constant",
-                   acy.acyclic and _check_paths_avoid_base(n)))
-    checks.append(("transposition-ordering", _check_wn(n)))
+    incidence = _LEMMA_CHECKS["incidence"](n)
+    checks.extend(incidence)
+    if incidence[0][1]:  # column-weight-two held, so the matrix has a rank
+        checks.append(("rank-d2-consistent", _incidence_rank(n) == rank_d2))
+    checks.extend(_run_checks(n, ("paths", "avoid-one", "wn")))
 
     delta_bt = betti_bounded(_delta(n), _delta(n).dim)
     checks.append(("betti-delta-bruteforce",
@@ -439,10 +368,10 @@ def theorem1_report(n: int, include_bruteforce: bool = True) -> PipelineReport:
     return PipelineReport(
         n=n,
         facets=facets,
-        critical=crit.counts,
+        critical=_critical(n).counts,
         rank_d2=rank_d2,
         betti=bt.betti,
-        acyclic=acy.acyclic,
+        acyclic=_acyclicity(n).acyclic,
         crosschecks=tuple(checks),
     )
 
@@ -515,10 +444,6 @@ def corollary1_report(m: int, n: int) -> CorollaryReport:
         components=betti[0], crosschecks=tuple(checks))
 
 
-LEMMA_KEYS = ("free-faces", "trichotomy", "matching", "acyclic", "census",
-              "paths", "avoid-one", "incidence", "wn", "all")
-
-
 def _check_free_faces(n: int) -> bool:
     from .complexes import delta_via_collapse
     return delta_via_collapse(n) == _delta(n)
@@ -554,51 +479,46 @@ def _check_trichotomy(n: int) -> bool:
     return True
 
 
-def _check_matching(n: int) -> bool:
-    return not validate_matching(delta_poset(n), build_matching_mu(n))
-
-
-def _check_acyclic(n: int) -> bool:
-    return is_acyclic(delta_poset(n), build_matching_mu(n)).acyclic
-
-
-def _check_census(n: int) -> bool:
-    return _critical(n) == closed_form_critical(n)
-
-
-def _check_incidence(n: int) -> bool:
+def _check_incidence(n: int) -> List[Tuple[str, bool]]:
     try:
-        A, _, _ = _incidence(n)
+        A = _incidence(n)[0]
     except LemmaViolationError:
-        return False
-    return (rank_gf2(A) == factorial(n) - 1
-            and all(w % 2 == 0 for w in A.column_weights()))
+        return [("column-weight-two", False)]
+    return [("column-weight-two", True),
+            ("column-sums-even", all(w % 2 == 0 for w in A.column_weights())),
+            ("incidence-rank", _incidence_rank(n) == factorial(n) - 1)]
 
 
-_LEMMA_CHECKS = {
-    "free-faces": _check_free_faces,
-    "trichotomy": _check_trichotomy,
-    "matching": _check_matching,
-    "acyclic": _check_acyclic,
-    "census": _check_census,
-    "paths": _check_two_path_targets,
-    "avoid-one": _check_paths_avoid_base,
+# The one definition of every structural check: verify key -> the report
+# crosschecks it stands for. free-faces and trichotomy are verify-only.
+_LEMMA_CHECKS: Dict[str, Callable[[int], List[Tuple[str, bool]]]] = {
+    "free-faces": lambda n: [("free-face-collapse", _check_free_faces(n))],
+    "trichotomy": lambda n: [("one-cell-trichotomy", _check_trichotomy(n))],
+    "matching": lambda n: [("matching-valid", not validate_matching(
+        delta_poset(n), build_matching_mu(n)))],
+    "acyclic": lambda n: [("matching-acyclic", _acyclicity(n).acyclic)],
+    "census": lambda n: [("critical-census",
+                          _critical(n) == closed_form_critical(n))],
+    "paths": lambda n: [("two-path-targets", _check_two_path_targets(n))],
+    "avoid-one": lambda n: [("paths-avoid-first-constant",
+                             _acyclicity(n).acyclic
+                             and _check_paths_avoid_base(n))],
     "incidence": _check_incidence,
-    "wn": _check_wn,
+    "wn": lambda n: [("transposition-ordering", _check_wn(n))],
 }
+LEMMA_KEYS = tuple(_LEMMA_CHECKS) + ("all",)
 
 
-def verify_lemma(n: int, which: str, seed: int = 0) -> List[Tuple[str, bool]]:
-    """Run one named structural check (or all of them) at a given n.
+def _run_checks(n: int, keys: Sequence[str]) -> List[Tuple[str, bool]]:
+    return [pair for k in keys for pair in _LEMMA_CHECKS[k](n)]
 
-    The seed is accepted for interface uniformity; every check here is
-    deterministic.
-    """
-    del seed
+
+def verify_lemma(n: int, which: str) -> List[Tuple[str, bool]]:
+    """Run one named structural check (or all of them) at a given n."""
     if which not in LEMMA_KEYS:
         raise InvalidArgumentError(
             f"unknown check {which!r}; choose from {', '.join(LEMMA_KEYS)}")
     if n < 3 or n > 5:
         raise InvalidArgumentError("checks are sized for 3 <= n <= 5")
-    keys = [k for k in LEMMA_KEYS if k != "all"] if which == "all" else [which]
-    return [(k, _LEMMA_CHECKS[k](n)) for k in keys]
+    keys = tuple(_LEMMA_CHECKS) if which == "all" else (which,)
+    return [(k, all(ok for _, ok in _LEMMA_CHECKS[k](n))) for k in keys]

@@ -7,8 +7,7 @@ import pytest
 from expmorse.complexes import Complex, build_delta, neighborhood_complex
 from expmorse.errors import InvalidArgumentError, InvalidChainError
 from expmorse.gf2 import (BettiTable, Gf2Matrix, betti_bounded, betti_of_chain,
-                          boundary_matrix, chain_from_json, chain_to_json,
-                          rank_gf2, rank_of_bitsets)
+                          boundary_matrix, rank_gf2, rank_of_bitsets)
 from expmorse.graphs import cycle_graph
 
 
@@ -138,11 +137,3 @@ def test_betti_table_json_shape():
     d = BettiTable((1, 0, 1), "bruteforce", 2).to_json_dict()
     assert d == {"method": "bruteforce", "betti": [1, 0, 1], "max_verified_dim": 2}
 
-
-def test_chain_json_round_trip():
-    C = build_delta(3)
-    chain = [boundary_matrix(C, 1), boundary_matrix(C, 2)]
-    back = chain_from_json(chain_to_json(chain))
-    assert all(a.rows == b.rows and a.ncols == b.ncols for a, b in zip(chain, back))
-    with pytest.raises(InvalidArgumentError):
-        chain_from_json({"boundaries": [{"rows": 1}]})

@@ -12,7 +12,7 @@ from expmorse.graphs import cycle_graph
 from expmorse.morse import (DescentCache, FacePoset, Matching,
                             alternating_path_parity, critical_cells,
                             enumerate_alternating_paths, face_poset,
-                            is_acyclic, matching_to_csv, morse_boundaries,
+                            is_acyclic, morse_boundaries, path_cells,
                             validate_matching)
 
 SQUARE = Complex(list("abcd"), [(0, 1), (1, 2), (2, 3), (0, 3)])
@@ -54,6 +54,11 @@ def test_cyclic_fixture_rejected_with_explicit_cycle():
         assert len(big) == len(small) + 1 and set(small) < set(big)
         if i % 2 == 0:
             assert CYCLIC_MATCHING.pairs[cell] == neigh  # up through the pairing
+    # The memoized descent walk refuses the cycle instead of looping.
+    with pytest.raises(InternalConsistencyError):
+        DescentCache(P, CYCLIC_MATCHING).sets((0,))
+    with pytest.raises(InternalConsistencyError):
+        path_cells(CYCLIC_MATCHING, [(0, 1)])
 
 
 def test_breaking_the_cycle_restores_acyclicity():
@@ -118,8 +123,10 @@ def test_parity_matches_exhaustive_enumeration():
     M = build_matching_mu(n)
     crit = critical_cells(P, M)
     cache = DescentCache(P, M)
+    on_paths = set()
     for tau in crit.cells(2):
         paths = enumerate_alternating_paths(P, M, tau)
+        on_paths.update(cell for p in paths for cell in p)
         ends = {}
         for p in paths:
             ends[p[-1]] = ends.get(p[-1], 0) + 1
@@ -128,6 +135,7 @@ def test_parity_matches_exhaustive_enumeration():
             assert alternating_path_parity(P, M, tau, sigma, cache) == want
         assert cache.boundary_support(tau) == frozenset(
             s for s, k in ends.items() if k % 2)
+    assert path_cells(M, crit.cells(2)) == on_paths | set(crit.cells(2))
 
 
 def test_parity_rejects_non_critical_or_bad_dims():
@@ -150,13 +158,3 @@ def test_morse_chain_of_delta3_gives_known_betti():
     assert all(a.matmul(b).is_zero() for a, b in zip(chain, chain[1:]))
     assert betti_of_chain(chain).betti == (1, 1, 14)
 
-
-def test_matching_csv_shape():
-    P = face_poset(SQUARE)
-    pairs = dict(CYCLIC_MATCHING.pairs)
-    del pairs[(3,)]
-    text = matching_to_csv(P, Matching(pairs))
-    lines = text.strip().split("\n")
-    assert lines[0] == "cell,matched_cell"
-    assert len(lines) == 1 + len(pairs)
-    assert lines[1].split(",") == ["a", "a b"]

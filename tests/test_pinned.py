@@ -1,0 +1,71 @@
+"""Outputs pinned to fixed bytes, and the names the traced benchmark wraps.
+
+The files under tests/pinned/ are the exact stdout of the commands below.
+Other tests compare runs with each other; these compare against fixed bytes,
+so a refactor that reorders, renames or drops a crosscheck fails here.
+"""
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from expmorse.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+PINNED = Path(__file__).resolve().parent / "pinned"
+
+REPORT_CROSSCHECKS = (
+    "matching-valid", "matching-acyclic", "critical-census",
+    "facet-count-formulas", "column-weight-two", "column-sums-even",
+    "incidence-rank", "rank-d2-consistent", "two-path-targets",
+    "paths-avoid-first-constant", "transposition-ordering",
+    "betti-delta-bruteforce")
+
+
+PINNED_COMMANDS = {
+    "reproduce-n3.json": ["reproduce", "--n", "3"],
+    "reproduce-n3.csv": ["reproduce", "--n", "3", "--format", "csv"],
+    "reproduce-n4-morse.csv": ["reproduce", "--n", "4", "--method", "morse",
+                               "--format", "csv"],
+    "verify-n3-all.txt": ["verify", "--n", "3", "--lemma", "all"],
+}
+
+
+@pytest.mark.parametrize("pinned", PINNED_COMMANDS)
+def test_stdout_matches_pinned_bytes(capsys, pinned):
+    assert main(PINNED_COMMANDS[pinned]) == 0
+    assert capsys.readouterr().out == (PINNED / pinned).read_text(encoding="utf-8")
+
+
+def test_report_crosscheck_names_n4(timed_report4):
+    names = tuple(name for name, _ in timed_report4[0].crosschecks)
+    assert names == REPORT_CROSSCHECKS + ("betti-ncomplex-bruteforce-dims-0-3",)
+
+
+def test_report_crosscheck_names_n5(timed_report5):
+    names = tuple(name for name, _ in timed_report5[0].crosschecks)
+    assert names == REPORT_CROSSCHECKS + ("betti-ncomplex-bruteforce-dims-0-1",)
+
+
+def test_benchmark_tracer_installs_on_the_real_modules():
+    # perfbench/tracer.py wraps module attributes by name; a renamed or
+    # deleted one fails its install. A fresh interpreter keeps the wrappers
+    # out of this test process.
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(ROOT / 'perfbench')!r})\n"
+        "from tracer import Tracer\n"
+        "from expmorse import cli, complexes, gf2, graphs, homc, pipeline\n"
+        "Tracer().install(cli, pipeline, graphs, complexes, gf2, homc)\n"
+        "sys.exit(cli.main(['verify', '--n', '3', '--lemma', 'census']))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "census: pass\n"

@@ -7,7 +7,7 @@ import pytest
 from expmorse.errors import InvalidArgumentError
 from expmorse.gf2 import rank_gf2
 from expmorse.morse import (critical_cells, enumerate_alternating_paths,
-                            is_acyclic, matching_to_csv, validate_matching)
+                            is_acyclic, validate_matching)
 from expmorse.pipeline import (LEMMA_KEYS, build_matching_mu,
                                closed_form_critical, corollary1_report,
                                delta_poset, incidence_matrix_A,
@@ -101,17 +101,6 @@ def test_paths_from_critical_triangles_never_touch_first_constant():
     for tau in crit.cells(2):
         for p in enumerate_alternating_paths(P, M, tau):
             assert all(0 not in cell for cell in p)
-
-
-def test_matching_csv_covers_all_pairs():
-    n = 3
-    P = delta_poset(n)
-    M = build_matching_mu(n)
-    text = matching_to_csv(P, M)
-    lines = text.strip().split("\n")
-    assert lines[0] == "cell,matched_cell"
-    assert len(lines) == 1 + len(M.pairs)
-    assert all(len(line.split(",")) == 2 for line in lines[1:])
 
 
 def test_report_shape_and_values(timed_report3):
