@@ -1,8 +1,8 @@
 """Discrete Morse homology for neighborhood complexes of exponential graphs."""
 
-from .complexes import (Complex, build_delta, complex_from_json,
-                        complex_to_json, delta_facet_families,
-                        delta_via_collapse, neighborhood_complex)
+from .complexes import (Complex, build_delta, complex_to_json,
+                        delta_facet_families, delta_via_collapse,
+                        neighborhood_complex)
 from .errors import (ExpmorseError, InternalConsistencyError, InvalidArgumentError,
                      InvalidChainError, LemmaViolationError, PreconditionError,
                      ResourceLimitError)

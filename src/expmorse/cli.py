@@ -12,7 +12,7 @@ import re
 import sys
 from typing import Optional, Sequence
 
-from .complexes import Complex, neighborhood_complex
+from .complexes import DEFAULT_MAX_FACES, Complex, complex_to_json, neighborhood_complex
 from .errors import ExpmorseError, InvalidArgumentError, ResourceLimitError
 from .gf2 import BettiTable, betti_bounded
 from .graphs import (Graph, complete_graph, cycle_graph, exponential_graph,
@@ -139,7 +139,6 @@ def cmd_compute(args: argparse.Namespace) -> int:
         if args.format == "csv":
             sys.stdout.write(_complex_csv(NC))
         else:
-            from .complexes import complex_to_json
             _emit_json(complex_to_json(NC))
     elif args.what == "homology":
         NC = neighborhood_complex(_graph_from(args))
@@ -165,10 +164,6 @@ def cmd_compute(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="expmorse",
@@ -181,13 +176,12 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="classify the core of K_m^{K_n} instead")
     rp.add_argument("--m", type=int)
     rp.add_argument("--method", choices=("morse", "both"), default="both")
-    _add_common(rp)
+    rp.add_argument("--format", choices=("json", "csv"), default="json")
     rp.set_defaults(func=cmd_reproduce)
 
     vp = sub.add_parser("verify", help="run structural checks")
     vp.add_argument("--n", type=int, required=True)
     vp.add_argument("--lemma", choices=LEMMA_KEYS, default="all")
-    _add_common(vp)
     vp.set_defaults(func=cmd_verify)
 
     cp = sub.add_parser("compute", help="ad-hoc graph and homology queries")
@@ -199,8 +193,9 @@ def _build_parser() -> argparse.ArgumentParser:
     cp.add_argument("--g", help="source graph atom")
     cp.add_argument("--h", help="target graph atom")
     cp.add_argument("--max-dim", type=int, dest="max_dim")
-    cp.add_argument("--max-faces", type=int, dest="max_faces", default=5_000_000)
-    _add_common(cp)
+    cp.add_argument("--max-faces", type=int, dest="max_faces",
+                    default=DEFAULT_MAX_FACES)
+    cp.add_argument("--format", choices=("json", "csv"), default="json")
     cp.set_defaults(func=cmd_compute)
     return ap
 

@@ -1,14 +1,15 @@
 """Simplicial complexes in facet form, free-face collapses, and the collapsed model.
 
 Faces are sorted tuples of vertex indices. A complex stores only its maximal
-faces; membership and ownership queries go through per-vertex facet bitmasks.
+faces; membership queries go through per-vertex facet bitmasks, and a
+collapse keeps a per-vertex set of the facets it has not yet removed.
 """
 from __future__ import annotations
 
 import itertools
 import logging
 from math import comb
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .errors import InvalidArgumentError, PreconditionError, ResourceLimitError
 from .graphs import Graph, FnVertex, core_vertices, fold_core_exponential, neighborhood, variant
@@ -20,7 +21,6 @@ __all__ = [
     "build_delta",
     "delta_via_collapse",
     "complex_to_json",
-    "complex_from_json",
     "DEFAULT_MAX_FACES",
 ]
 
@@ -73,24 +73,6 @@ class Complex:
     def dim(self) -> int:
         return max((len(f) for f in self.facets), default=0) - 1
 
-    def facets_containing(self, face: Sequence[int]) -> List[Face]:
-        face = tuple(sorted(set(face)))
-        if not face:
-            return list(self.facets)
-        if face[0] < 0 or face[-1] >= len(self.labels):
-            raise InvalidArgumentError(f"face {face} has a vertex out of range")
-        m = self._vmask[face[0]]
-        for v in face[1:]:
-            m &= self._vmask[v]
-        out = []
-        j = 0
-        while m:
-            if m & 1:
-                out.append(self.facets[j])
-            m >>= 1
-            j += 1
-        return out
-
     def contains(self, face: Sequence[int]) -> bool:
         face = tuple(sorted(set(face)))
         if not face:
@@ -137,54 +119,49 @@ class Complex:
             out.append(faces)
         return out
 
-    def is_free_pair(self, face: Sequence[int], facet: Sequence[int]) -> bool:
-        """True iff `facet` is a facet of the complex and the only one containing `face`."""
-        face = tuple(sorted(set(face)))
-        facet = tuple(sorted(set(facet)))
-        if not face or not set(face) < set(facet):
-            raise InvalidArgumentError(f"{face} is not a proper nonempty subset of {facet}")
-        owners = self.facets_containing(face)
-        return owners == [facet]
+    def collapse(self, steps: Iterable[Tuple[Sequence[int], Optional[Sequence[int]]]]
+                 ) -> "Complex":
+        """Apply elementary collapses in order; each is checked against the complex as it stands.
 
-    def elementary_collapse(self, face: Sequence[int], facet: Sequence[int]) -> "Complex":
-        """Remove the interval between a free face and its unique facet."""
-        face = tuple(sorted(set(face)))
-        facet = tuple(sorted(set(facet)))
-        if not self.is_free_pair(face, facet):
-            raise PreconditionError(f"{face} is not a free face of {facet}")
-        new_facets = [f for f in self.facets if f != facet]
-        for s in face:
-            new_facets.append(tuple(v for v in facet if v != s))
-        return Complex(self.labels, new_facets)
-
-    def collapse_free_family(self, facet: Sequence[int], xs: Sequence[int],
-                             ys: Sequence[int]) -> "Complex":
-        """Collapse a facet xs+ys down to the stars {x}+ys, one x at a time.
-
-        Requires every pair {x_i, x_j} to be a free face at its step; the
-        intermediate facet containing the pair is derived from the collapse
-        order, and each step is checked before it runs.
+        A step (face, facet) needs `face` to be a proper nonempty subset of
+        `facet` and `facet` to be the only facet containing `face`; a facet
+        of None means "the only facet containing face". The step removes the
+        interval between them: `facet` goes, and `facet` minus each vertex of
+        `face` becomes a facet unless a remaining facet already contains it.
         """
-        xs = list(xs)
-        ys = list(ys)
-        facet = tuple(sorted(set(facet)))
-        if sorted(xs + ys) != list(facet):
-            raise InvalidArgumentError("xs + ys must partition the facet")
-        if len(xs) < 2:
-            raise InvalidArgumentError("need at least two x vertices to collapse")
-        cur = self
-        t = len(xs)
-        for i in range(t - 1):
-            base = [v for v in facet if v not in xs[:i]]
-            for j in range(i + 1, t):
-                gone = set(xs[i + 1:j])
-                target = tuple(v for v in base if v not in gone)
-                pair = tuple(sorted((xs[i], xs[j])))
-                if not cur.is_free_pair(pair, target):
+        n = len(self.labels)
+        owners: List[Set[Face]] = [set() for _ in range(n)]
+        for f in self.facets:
+            for v in f:
+                owners[v].add(f)
+
+        def holders(face: Sequence[int]) -> Set[Face]:
+            sets = sorted((owners[v] for v in face), key=len)
+            return sets[0].intersection(*sets[1:])
+
+        for face, facet in steps:
+            face = tuple(sorted(set(face)))
+            if not face or face[0] < 0 or face[-1] >= n:
+                raise InvalidArgumentError(f"face {face} is empty or has a vertex out of range")
+            found = holders(face)
+            if facet is None:
+                if len(found) != 1:
                     raise PreconditionError(
-                        f"pair {pair} is not a free face of {target} at step ({i},{j})")
-                cur = cur.elementary_collapse(pair, target)
-        return cur
+                        f"face {face} should have a unique facet, found {len(found)}")
+                facet = next(iter(found))
+            facet = tuple(sorted(set(facet)))
+            if not set(face) < set(facet):
+                raise InvalidArgumentError(f"{face} is not a proper nonempty subset of {facet}")
+            if found != {facet}:
+                raise PreconditionError(f"{face} is not a free face of {facet}")
+            for v in facet:
+                owners[v].discard(facet)
+            for s in face:
+                rest = tuple(v for v in facet if v != s)
+                if not holders(rest):
+                    for v in rest:
+                        owners[v].add(rest)
+        return Complex(self.labels, {f for fs in owners for f in fs})
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Complex)
@@ -251,49 +228,57 @@ def build_delta(n: int) -> Complex:
     return Complex(labels, [f for fam in fams.values() for f in fam])
 
 
-def delta_via_collapse(n: int) -> Complex:
-    """Reach the collapsed model from the neighborhood complex by checked collapses.
+def _free_family_steps(xs: Sequence[int], ys: Sequence[int]) -> Iterator[Tuple[Face, Face]]:
+    """Collapse steps taking the facet xs+ys down to the stars {x}+ys, one x at a time.
 
-    Stage 1 collapses each neighborhood facet to triangles through its center.
-    Stage 2 collapses each constants-plus-injective facet onto its anchor
-    constant (<1> when the injective map covers 1, else <2>). Every step is
-    validated as an elementary collapse, so this doubles as a proof trace.
+    Each pair {x_i, x_j} is named with the intermediate facet that the
+    collapse order predicts contains it, so the step checks freeness in
+    that facet.
     """
-    if n < 3:
-        raise InvalidArgumentError("the collapse cascade is defined for n >= 3")
-    verts, index = _core_index(n)
-    G = fold_core_exponential(n + 1, n)
-    C = neighborhood_complex(G)
+    facet = sorted(list(xs) + list(ys))
+    for i in range(len(xs) - 1):
+        base = [v for v in facet if v not in xs[:i]]
+        for j in range(i + 1, len(xs)):
+            gone = set(xs[i + 1:j])
+            yield (xs[i], xs[j]), tuple(v for v in base if v not in gone)
 
+
+def _cascade_steps(n: int) -> Iterator[Tuple[Face, Optional[Face]]]:
+    verts, index = _core_index(n)
     for i, f in enumerate(verts):
         if not (f.is_injective and not f.is_constant):
             continue
         x = f.missing_values(n + 1)[0]
         xs = sorted(index[variant(f, s, x).values] for s in range(1, n + 1))
-        facet = tuple(sorted(xs + [i, x - 1]))
-        C = C.collapse_free_family(facet, xs, [i, x - 1])
+        yield from _free_family_steps(xs, [i, x - 1])
     for y in range(1, n + 2):
-        xs = sorted(i for i, f in enumerate(verts)
-                    if f.is_injective and not f.is_constant and y not in f.image)
-        ys = [z - 1 for z in range(1, n + 2) if z != y]
-        facet = tuple(sorted(xs + ys))
-        C = C.collapse_free_family(facet, xs, ys)
-
+        xs = [i for i, f in enumerate(verts)
+              if f.is_injective and not f.is_constant and y not in f.image]
+        yield from _free_family_steps(xs, [z - 1 for z in range(1, n + 2) if z != y])
     for i, f in enumerate(verts):
         if not (f.is_injective and not f.is_constant):
             continue
-        im = sorted(f.image)
         anchor = 1 if 1 in f.image else 2
-        rest = [y for y in im if y != anchor]
+        rest = [y for y in sorted(f.image) if y != anchor]
         for a in range(len(rest) - 1):
             for b in range(a + 1, len(rest)):
-                pair = tuple(sorted((rest[a] - 1, rest[b] - 1, i)))
-                owners = C.facets_containing(pair)
-                if len(owners) != 1:
-                    raise PreconditionError(
-                        f"face {pair} should have a unique facet, found {len(owners)}")
-                C = C.elementary_collapse(pair, owners[0])
-    return C
+                yield (rest[a] - 1, rest[b] - 1, i), None
+
+
+def delta_via_collapse(n: int) -> Complex:
+    """Reach the collapsed model from the neighborhood complex by checked collapses.
+
+    Stage 1 collapses each neighborhood facet to triangles through its center.
+    Stage 2 collapses each constants-plus-injective facet onto its anchor
+    constant (<1> when the injective map covers 1, else <2>). Stage 3 removes
+    the remaining triangles on two non-anchor values of an injective map,
+    each through its only facet. Every step is validated as an elementary
+    collapse, so this doubles as a proof trace.
+    """
+    if n < 3:
+        raise InvalidArgumentError("the collapse cascade is defined for n >= 3")
+    C = neighborhood_complex(fold_core_exponential(n + 1, n))
+    return C.collapse(_cascade_steps(n))
 
 
 def complex_to_json(C: Complex) -> dict:
@@ -301,12 +286,3 @@ def complex_to_json(C: Complex) -> dict:
         "vertex_labels": list(C.labels),
         "facets": [list(f) for f in C.facets],
     }
-
-
-def complex_from_json(data: dict) -> Complex:
-    try:
-        labels = list(data["vertex_labels"])
-        facets = [[int(v) for v in f] for f in data["facets"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidArgumentError(f"malformed complex JSON: {exc}") from exc
-    return Complex(labels, facets)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .complexes import Complex, Face
+from .complexes import DEFAULT_MAX_FACES, Complex, Face
 from .errors import InvalidArgumentError, InvalidChainError, ResourceLimitError
 
 __all__ = [
@@ -190,13 +190,7 @@ class BettiTable:
         }
 
 
-def _stream_rank(C: Complex, dim: int, lower_index: Dict[Face, int]) -> int:
-    """Rank of the boundary from dimension `dim`, without materializing its faces."""
-    return rank_of_bitsets(
-        _column_bits(face, lower_index) for face in C.iter_faces_of_dim(dim))
-
-
-def betti_bounded(C: Complex, maxdim: int, max_faces: int = 5_000_000) -> BettiTable:
+def betti_bounded(C: Complex, maxdim: int, max_faces: int = DEFAULT_MAX_FACES) -> BettiTable:
     """Brute-force Z2 Betti numbers of dimensions 0..maxdim.
 
     Faces of dimensions 0..maxdim are materialized; the (maxdim+1)-faces are
@@ -219,20 +213,16 @@ def betti_bounded(C: Complex, maxdim: int, max_faces: int = 5_000_000) -> BettiT
             bound=max_faces)
 
     top = len(levels)  # first dimension that was not materialized
-    ranks = [0] * (top + 2)
-    for k in range(1, top):
-        lower_index = {f: i for i, f in enumerate(levels[k - 1])}
-        ranks[k] = rank_of_bitsets(
-            _column_bits(face, lower_index) for face in levels[k])
-    if spent + C.face_count_estimate(top) <= max_faces:
-        lower_index = {f: i for i, f in enumerate(levels[top - 1])}
-        ranks[top] = _stream_rank(C, top, lower_index)
-        verified = top - 1
-    else:
-        verified = top - 2
+    streamed = spent + C.face_count_estimate(top) <= max_faces
+    verified = top - 1 if streamed else top - 2
     if verified < 0:
         raise ResourceLimitError(
             f"face budget {max_faces} too small to verify any dimension", bound=max_faces)
+    ranks = [0] * (top + 2)
+    for k in range(1, top + 1 if streamed else top):
+        lower_index = {f: i for i, f in enumerate(levels[k - 1])}
+        faces = levels[k] if k < top else C.iter_faces_of_dim(k)
+        ranks[k] = rank_of_bitsets(_column_bits(face, lower_index) for face in faces)
 
     betti = tuple(len(levels[k]) - ranks[k] - ranks[k + 1] for k in range(verified + 1))
     return BettiTable(betti, "bruteforce", verified)

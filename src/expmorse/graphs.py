@@ -76,9 +76,6 @@ class Graph:
     def neighbors(self, v: int) -> Tuple[int, ...]:
         return _bits(self._nbr[v])
 
-    def degree(self, v: int) -> int:
-        return bin(self._nbr[v]).count("1")
-
     def edges(self) -> List[Tuple[int, int]]:
         """Unordered non-loop edges as (u, v) with u < v, sorted."""
         out = []
@@ -147,14 +144,6 @@ class FnVertex:
     @property
     def is_injective(self) -> bool:
         return len(set(self.values)) == len(self.values)
-
-    @property
-    def kind(self) -> str:
-        if self.is_constant:
-            return "constant"
-        if self.is_injective:
-            return "injective"
-        return "other"
 
     @property
     def image(self) -> frozenset:

@@ -71,26 +71,21 @@ def enumerate_hom_cells(G: Graph, H: Graph,
         return allowed
 
     common = {s: common_mask(s) for s in subsets}
+    earlier = [tuple(w for w in G.neighbors(u) if w < u) for u in range(ng)]
     cells: List[HomCell] = []
     chosen: List[int] = []
-
-    def ok(u: int, s: int) -> bool:
-        for w in G.neighbors(u):
-            if w < u:
-                if common[chosen[w]] & s != s:
-                    return False
-            elif w == u:
-                # looped vertex: the set must span mutually adjacent vertices
-                if common[s] & s != s:
-                    return False
-        return True
 
     def place(u: int):
         if u == ng:
             cells.append(HomCell(tuple(_bits(s) for s in chosen)))
             return
+        allowed = full
+        for w in earlier[u]:
+            allowed &= common[chosen[w]]
+        # looped vertex: the set must span mutually adjacent vertices
+        looped = G.has_loop(u)
         for s in subsets:
-            if ok(u, s):
+            if s & allowed == s and not (looped and common[s] & s != s):
                 chosen.append(s)
                 place(u + 1)
                 chosen.pop()

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -94,9 +96,11 @@ def test_invalid_arguments_exit_two(capsys):
     assert _run(capsys, "reproduce", "--n", "3", "--cor1")[0] == 2
     assert _run(capsys, "compute", "fold", "--graph", "zzz")[0] == 2
     assert _run(capsys, "compute", "hom", "--g", "k2")[0] == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["compute", "nosuch", "--graph", "k3"])
-    assert exc.value.code == 2
+    for argv in (["compute", "nosuch", "--graph", "k3"],
+                 ["verify", "--n", "3", "--lemma", "wn", "--format", "csv"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 def test_resource_limit_exit_three(capsys):
@@ -130,9 +134,13 @@ def test_byte_identical_across_runs(capsys):
 
 
 def test_console_entry_point_subprocess():
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "expmorse.cli", "verify", "--n", "3",
          "--lemma", "wn"],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0
     assert proc.stdout == "wn: pass\n"
