@@ -152,7 +152,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
         if not args.g or not args.h:
             raise InvalidArgumentError("hom needs --g and --h")
         cells = enumerate_hom_cells(_atom(args.g), _atom(args.h))
-        OC = order_complex_of_hom(cells)
+        OC = order_complex_of_hom(cells, max_faces=args.max_faces)
         maxdim = args.max_dim if args.max_dim is not None else max(OC.dim, 0)
         bt = betti_bounded(OC, maxdim, max_faces=args.max_faces)
         if args.format == "csv":

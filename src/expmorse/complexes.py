@@ -34,7 +34,7 @@ Face = Tuple[int, ...]
 class Complex:
     """A simplicial complex given by its facets (pairwise incomparable maximal faces)."""
 
-    __slots__ = ("labels", "facets", "_vmask")
+    __slots__ = ("labels", "facets", "_vmask", "_fverts")
 
     def __init__(self, labels: Sequence[str], facets: Iterable[Iterable[int]]):
         self.labels = tuple(labels)
@@ -64,6 +64,7 @@ class Complex:
         for j, f in enumerate(self.facets):
             for v in f:
                 self._vmask[v] |= 1 << j
+        self._fverts: Optional[List[int]] = None
 
     @property
     def vertex_count(self) -> int:
@@ -83,6 +84,29 @@ class Complex:
         for v in face[1:]:
             m &= self._vmask[v]
         return m != 0
+
+    def cofacet_vertices(self, face: Sequence[int]) -> int:
+        """Bitmask of the vertices v not in `face` with face + (v,) a face.
+
+        That is the union of the facets containing `face`, minus `face`; it
+        is 0 when `face` is not a face.
+        """
+        if self._fverts is None:
+            self._fverts = [sum(1 << v for v in f) for f in self.facets]
+        n = len(self.labels)
+        m = (1 << len(self.facets)) - 1
+        own = 0
+        for v in face:
+            if not 0 <= v < n:
+                return 0
+            m &= self._vmask[v]
+            own |= 1 << v
+        out = 0
+        while m:
+            low = m & -m
+            out |= self._fverts[low.bit_length() - 1]
+            m ^= low
+        return out & ~own
 
     def face_count_estimate(self, dim: int) -> int:
         """Upper bound (before dedup) on the number of faces of one dimension."""

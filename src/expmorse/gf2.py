@@ -1,14 +1,18 @@
 """Z2 linear algebra on bit-packed vectors, boundary matrices, Betti numbers.
 
 Vectors are Python ints (bit j = coordinate j), so an XOR of two rows is one
-big-int operation. Rank is incremental: vectors stream into a pivot basis
-keyed by leading bit, which keeps the memory footprint at rank many vectors
-even when the matrix itself is never materialized.
+big-int operation. Rank is incremental: vectors are reduced one at a time
+against a pivot basis keyed by leading bit. Brute-force Betti numbers list
+the faces of every dimension they verify and reduce those boundaries this
+way. The boundary one dimension higher, whose faces are never listed, is
+ranked through its transpose, the coboundary: faces already paired one
+level down are skipped, and a column is built only where two pivots collide.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from heapq import heappop, heappush
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .complexes import DEFAULT_MAX_FACES, Complex, Face
 from .errors import InvalidArgumentError, InvalidChainError, ResourceLimitError
@@ -119,20 +123,27 @@ class Gf2Matrix:
         return f"Gf2Matrix({self.nrows}x{self.ncols})"
 
 
-def rank_of_bitsets(vectors: Iterable[int]) -> int:
-    """Rank of the span of the given vectors, consumed one at a time."""
+def _independent(vectors: Iterable[int]) -> Iterator[int]:
+    """Indices of the vectors that are not in the span of the vectors before them.
+
+    Each vector is reduced against a pivot basis keyed by leading bit; the
+    ones that stay nonzero join the basis.
+    """
     pivots: Dict[int, int] = {}
-    rank = 0
-    for v in vectors:
+    for j, v in enumerate(vectors):
         while v:
             h = v.bit_length() - 1
             p = pivots.get(h)
             if p is None:
                 pivots[h] = v
-                rank += 1
+                yield j
                 break
             v ^= p
-    return rank
+
+
+def rank_of_bitsets(vectors: Iterable[int]) -> int:
+    """Rank of the span of the given vectors, consumed one at a time."""
+    return sum(1 for _ in _independent(vectors))
 
 
 def rank_gf2(M: Gf2Matrix) -> int:
@@ -193,9 +204,10 @@ class BettiTable:
 def betti_bounded(C: Complex, maxdim: int, max_faces: int = DEFAULT_MAX_FACES) -> BettiTable:
     """Brute-force Z2 Betti numbers of dimensions 0..maxdim.
 
-    Faces of dimensions 0..maxdim are materialized; the (maxdim+1)-faces are
-    only streamed through the rank computation. If a dimension would blow the
-    face budget the table is truncated to what was actually verified.
+    Faces of dimensions 0..maxdim are listed and their boundaries reduced in
+    lex order. The rank of the next boundary, whose faces are never listed,
+    is taken from its transpose (`_coboundary_rank`). If a dimension would
+    blow the face budget the table is truncated to what was actually verified.
     """
     if maxdim < 0:
         raise InvalidArgumentError("maxdim must be nonnegative")
@@ -212,20 +224,116 @@ def betti_bounded(C: Complex, maxdim: int, max_faces: int = DEFAULT_MAX_FACES) -
             f"cannot enumerate even the vertices within the budget {max_faces}",
             bound=max_faces)
 
-    top = len(levels)  # first dimension that was not materialized
-    streamed = spent + C.face_count_estimate(top) <= max_faces
+    top = len(levels)  # first dimension that was not listed
+    top_est = C.face_count_estimate(top)
+    streamed = spent + top_est <= max_faces
     verified = top - 1 if streamed else top - 2
     if verified < 0:
         raise ResourceLimitError(
             f"face budget {max_faces} too small to verify any dimension", bound=max_faces)
     ranks = [0] * (top + 2)
-    for k in range(1, top + 1 if streamed else top):
+    cleared = 0  # (top-1)-faces whose boundary column stays nonzero
+    record = streamed and top_est > 0
+    for k in range(1, top):
         lower_index = {f: i for i, f in enumerate(levels[k - 1])}
-        faces = levels[k] if k < top else C.iter_faces_of_dim(k)
-        ranks[k] = rank_of_bitsets(_column_bits(face, lower_index) for face in faces)
+        for j in _independent(_column_bits(face, lower_index) for face in levels[k]):
+            ranks[k] += 1
+            if record and k == top - 1:
+                cleared |= 1 << j
+    if record:
+        ranks[top] = _coboundary_rank(C, levels[top - 1], cleared)
 
     betti = tuple(len(levels[k]) - ranks[k] - ranks[k + 1] for k in range(verified + 1))
     return BettiTable(betti, "bruteforce", verified)
+
+
+def _coboundary_rank(C: Complex, faces: List[Face], cleared: int) -> int:
+    """Rank of the coboundary on `faces` (every face of one dimension, in lex order).
+
+    That is the rank of the boundary one dimension up, found without listing
+    the faces there. Columns are reduced in reverse lex order with the
+    lex-least cofacet as pivot; homology and cohomology then pair the same
+    faces (de Silva, Morozov & Vejdemo-Johansson, 2011), so a face whose
+    boundary column stayed nonzero (bit i of `cleared` for faces[i]) has a
+    coboundary column that reduces to zero and is skipped (clearing; Chen &
+    Kerber, 2011). As in Bauer's Ripser (2021), a column whose pivot is
+    unclaimed is kept as its face alone; a column is built only on a
+    collision, as the ascending codes of its cofacets (a code reads the
+    vertices as base-V digits, so codes order faces as lex order does), and
+    reduced in a heap where equal codes cancel in pairs.
+    """
+    base, k = C.vertex_count, len(faces[0])
+    powers = [base ** i for i in range(k + 1)]
+
+    def cofaces(face: Face, m: int) -> List[int]:
+        """Codes of face + (v,) for the vertices v in the mask m, ascending."""
+        c = 0
+        for x in face:
+            c = c * base + x
+        out = []
+        pos = 0
+        while m:
+            low = m & -m
+            m ^= low
+            v = low.bit_length() - 1
+            while pos < k and face[pos] < v:
+                pos += 1
+            w = powers[k - pos]
+            out.append((c // w * base + v) * w + c % w)
+        return out
+
+    owner: Dict[int, Union[Face, List[int]]] = {}  # pivot -> its face, or its reduced column
+    rank = 0
+    skip = format(cleared, f"0{len(faces)}b")  # skip[i] is the bit of faces[-1 - i]
+    for face, bit in zip(reversed(faces), skip):
+        m = C.cofacet_vertices(face) if bit == "0" else 0
+        if not m:
+            continue
+        pivot = cofaces(face, m & -m)[0]
+        held = owner.get(pivot)
+        if held is None:
+            owner[pivot] = face
+            rank += 1
+            continue
+        work = cofaces(face, m)  # ascending, so already a heap
+        heappop(work)
+        while held is not None:
+            if isinstance(held, tuple):
+                held = owner[pivot] = cofaces(held, C.cofacet_vertices(held))
+            for c in held[1:]:
+                heappush(work, c)
+            pivot = _pop_pivot(work)
+            if pivot is None:
+                break
+            held = owner.get(pivot)
+        else:
+            owner[pivot] = [pivot] + _odd_entries(work)
+            rank += 1
+    return rank
+
+
+def _pop_pivot(heap: List[int]) -> Optional[int]:
+    """Pop the least entry of odd multiplicity and the cancelled pairs below it."""
+    while heap:
+        c = heappop(heap)
+        odd = True
+        while heap and heap[0] == c:
+            heappop(heap)
+            odd = not odd
+        if odd:
+            return c
+    return None
+
+
+def _odd_entries(heap: List[int]) -> List[int]:
+    """The entries of odd multiplicity, ascending."""
+    out: List[int] = []
+    for c in sorted(heap):
+        if out and out[-1] == c:
+            out.pop()
+        else:
+            out.append(c)
+    return out
 
 
 def betti_of_chain(boundaries: Sequence[Gf2Matrix]) -> BettiTable:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from .complexes import Complex
+from .complexes import DEFAULT_MAX_FACES, Complex
 from .errors import InvalidArgumentError, ResourceLimitError
 from .graphs import Graph, _bits
 
@@ -114,10 +114,14 @@ def hom_cover_digraph(cells: Sequence[HomCell]) -> Dict[int, List[int]]:
     return covers
 
 
-def order_complex_of_hom(cells: Sequence[HomCell]) -> Complex:
+def order_complex_of_hom(cells: Sequence[HomCell],
+                         max_faces: int = DEFAULT_MAX_FACES) -> Complex:
     """Order complex of a hom cell poset.
 
     Vertices are the cells, facets the maximal chains under refinement.
+    Raises ResourceLimitError once the chains found so far hold more than
+    `max_faces` vertices in total; that total is the first face count
+    `betti_bounded` checks, so nothing it would accept is refused.
     """
     cells = sorted(cells)
     covers = hom_cover_digraph(cells)
@@ -128,12 +132,19 @@ def order_complex_of_hom(cells: Sequence[HomCell]) -> Complex:
     minimal = [i for i in range(len(cells)) if not covers[i]]
     facets: List[Tuple[int, ...]] = []
     chain: List[int] = []
+    spent = 0
 
     def extend(i: int):
+        nonlocal spent
         chain.append(i)
         ups = parents[i]
         if not ups:
             facets.append(tuple(chain))
+            spent += len(chain)
+            if spent > max_faces:
+                raise ResourceLimitError(
+                    f"maximal chains of the hom poset hold over {max_faces} vertices",
+                    bound=max_faces)
         else:
             for j in ups:
                 extend(j)

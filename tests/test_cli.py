@@ -110,6 +110,15 @@ def test_resource_limit_exit_three(capsys):
     assert "resource" in err.lower()
 
 
+def test_hom_order_complex_over_budget_exits_three(capsys):
+    # 6,050 cells pass the cell bound; their 2,580,480 maximal chains do not
+    # fit the default face budget.
+    code, out, err = _run(capsys, "compute", "hom", "--g", "k2", "--h", "k8")
+    assert code == 3
+    assert out == ""
+    assert "resource" in err.lower()
+
+
 def test_mismatch_exit_one(monkeypatch, capsys):
     class Fake:
         ok = False

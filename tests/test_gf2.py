@@ -3,12 +3,14 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from expmorse.complexes import Complex, build_delta, neighborhood_complex
-from expmorse.errors import InvalidArgumentError, InvalidChainError
+from expmorse.complexes import DEFAULT_MAX_FACES, Complex, build_delta, neighborhood_complex
+from expmorse.errors import InvalidArgumentError, InvalidChainError, ResourceLimitError
 from expmorse.gf2 import (BettiTable, Gf2Matrix, betti_bounded, betti_of_chain,
                           boundary_matrix, rank_gf2, rank_of_bitsets)
-from expmorse.graphs import cycle_graph
+from expmorse.graphs import complete_graph, cycle_graph
 
 
 def _naive_rank(rows, ncols):
@@ -109,6 +111,56 @@ def test_betti_bounded_truncates_honestly():
     bt = betti_bounded(C, 2, max_faces=800)
     assert bt.max_verified_dim < 2
     assert len(bt.betti) == bt.max_verified_dim + 1
+
+
+def _dense_betti(C, maxdim):
+    """Betti numbers 0..maxdim from whole boundary matrices, ranked densely."""
+    bds = [boundary_matrix(C, k) for k in range(1, maxdim + 2)]
+    faces = [bds[0].nrows] + [b.ncols for b in bds]
+    ranks = [0] + [rank_gf2(b) for b in bds]
+    return tuple(faces[k] - ranks[k] - ranks[k + 1] for k in range(maxdim + 1))
+
+
+def _check_against_dense(C, maxdim, budget):
+    """betti_bounded verifies the largest d <= maxdim whose faces up to d+1 fit the budget."""
+    fits = -1
+    for d in range(maxdim + 1):
+        if sum(C.face_count_estimate(i) for i in range(d + 2)) > budget:
+            break
+        fits = d
+    if fits < 0:
+        with pytest.raises(ResourceLimitError):
+            betti_bounded(C, maxdim, max_faces=budget)
+        return
+    bt = betti_bounded(C, maxdim, max_faces=budget)
+    assert bt.max_verified_dim == fits
+    assert bt.betti == _dense_betti(C, maxdim)[:fits + 1]
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 8), min_size=1, max_size=7), min_size=1, max_size=8),
+       st.integers(1, 400))
+def test_betti_bounded_against_dense_ranks(facets, small_budget):
+    C = Complex([str(i) for i in range(9)], facets)
+    for maxdim in range(C.dim + 2):
+        for budget in (DEFAULT_MAX_FACES, small_budget):
+            _check_against_dense(C, maxdim, budget)
+
+
+@pytest.mark.parametrize("C", [
+    Complex(list("abcdef"), [range(6)]),                     # a 5-simplex
+    Complex(list("abcdef"), [(0, 1, 2, 3, 4), (0, 1, 2, 5), (3, 4, 5)]),
+    Complex([str(i) for i in range(7)],                      # RP^2
+            [(1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
+             (2, 3, 5), (3, 5, 6), (3, 4, 6), (2, 4, 6), (2, 4, 5)]),
+    neighborhood_complex(complete_graph(6)),
+    neighborhood_complex(cycle_graph(9)),
+])
+def test_betti_bounded_streamed_top_with_clearing(C):
+    # every maxdim below the top leaves a nonempty streamed dimension whose
+    # coboundary skips the faces paired one level down
+    for maxdim in range(C.dim + 1):
+        _check_against_dense(C, maxdim, DEFAULT_MAX_FACES)
 
 
 def test_betti_of_chain_rejects_bad_chains():

@@ -102,3 +102,15 @@ def test_lovasz_equivalence_on_sample():
         cells = enumerate_hom_cells(complete_graph(2), G)
         hb = _trimmed_betti(order_complex_of_hom(cells))
         assert nb == hb
+
+
+def test_order_complex_budget_counts_chain_vertices():
+    cells = enumerate_hom_cells(complete_graph(2), complete_graph(6))
+    OC = order_complex_of_hom(cells)
+    assert len(OC.facets) == 11_520
+    spent = OC.face_count_estimate(0)
+    assert order_complex_of_hom(cells, max_faces=spent) == OC
+    with pytest.raises(ResourceLimitError):
+        order_complex_of_hom(cells, max_faces=spent - 1)
+    with pytest.raises(ResourceLimitError):
+        order_complex_of_hom(cells, max_faces=1000)

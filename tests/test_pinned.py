@@ -28,6 +28,8 @@ REPORT_CROSSCHECKS = (
 
 PINNED_COMMANDS = {
     "reproduce-n3.json": ["reproduce", "--n", "3"],
+    "reproduce-n4.json": ["reproduce", "--n", "4"],
+    "reproduce-n5.json": ["reproduce", "--n", "5"],
     "reproduce-n3.csv": ["reproduce", "--n", "3", "--format", "csv"],
     "reproduce-n4-morse.csv": ["reproduce", "--n", "4", "--method", "morse",
                                "--format", "csv"],

@@ -5,6 +5,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from expmorse.complexes import (Complex, _free_family_steps, build_delta,
                                 complex_to_json, delta_facet_families,
@@ -65,6 +67,18 @@ def test_contains_and_collapse_owner_lookup():
         C.collapse([((1, 2), None)])  # two owners
     with pytest.raises(PreconditionError):
         C.collapse([((0, 3), None)])  # no owner
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 7), min_size=1, max_size=6), min_size=1, max_size=7),
+       st.lists(st.integers(-1, 8), max_size=4))
+def test_cofacet_vertices_against_contains(facets, extra):
+    C = Complex([str(i) for i in range(8)], facets)
+    faces = [()] + sorted(_brute_faces(C)) + [tuple(sorted(set(extra)))]
+    for face in faces:
+        want = sum(1 << v for v in range(8)
+                   if v not in face and C.contains(face + (v,)))
+        assert C.cofacet_vertices(face) == want, face
 
 
 def test_free_pair_oracle():
