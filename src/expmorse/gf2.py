@@ -1,12 +1,13 @@
 """Z2 linear algebra on bit-packed vectors, boundary matrices, Betti numbers.
 
-Vectors are Python ints (bit j = coordinate j), so an XOR of two rows is one
-big-int operation. Rank is incremental: vectors are reduced one at a time
-against a pivot basis keyed by leading bit. Brute-force Betti numbers list
-the faces of every dimension they verify and reduce those boundaries this
-way. The boundary one dimension higher, whose faces are never listed, is
-ranked through its transpose, the coboundary: faces already paired one
-level down are skipped, and a column is built only where two pivots collide.
+Vectors are Python ints (bit i = coordinate i), and a matrix is its list of
+columns, so adding one column to another is one big-int XOR. Rank is
+incremental: vectors are reduced one at a time against a pivot basis keyed
+by leading bit. Brute-force Betti numbers list the faces of every dimension
+they verify and reduce those boundaries this way. The boundary one
+dimension higher, whose faces are never listed, is ranked through its
+transpose, the coboundary: faces already paired one level down are skipped,
+and a column is built only where two pivots collide.
 """
 from __future__ import annotations
 
@@ -29,95 +30,58 @@ __all__ = [
 
 
 class Gf2Matrix:
-    """Dense matrix over GF(2); row i is an int whose bit j is the (i, j) entry."""
+    """Dense matrix over GF(2); column j is an int whose bit i is the (i, j) entry."""
 
-    __slots__ = ("nrows", "ncols", "rows")
+    __slots__ = ("nrows", "ncols", "cols")
 
-    def __init__(self, rows: Sequence[int], ncols: int):
-        self.rows = list(rows)
-        self.nrows = len(self.rows)
-        self.ncols = ncols
-        if ncols < 0:
-            raise InvalidArgumentError("negative column count")
-        mask = (1 << ncols) - 1
-        for r in self.rows:
-            if r & ~mask:
-                raise InvalidArgumentError("row has bits beyond the column count")
+    def __init__(self, cols: Sequence[int], nrows: int):
+        self.cols = list(cols)
+        self.nrows = nrows
+        self.ncols = len(self.cols)
+        if nrows < 0:
+            raise InvalidArgumentError("negative row count")
+        for c in self.cols:
+            if c >> nrows:
+                raise InvalidArgumentError("column has bits beyond the row count")
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "Gf2Matrix":
-        return cls([0] * nrows, ncols)
+        return cls([0] * ncols, nrows)
 
     @classmethod
     def identity(cls, n: int) -> "Gf2Matrix":
         return cls([1 << i for i in range(n)], n)
 
-    @classmethod
-    def from_columns(cls, cols: Sequence[int], nrows: int) -> "Gf2Matrix":
-        rows = [0] * nrows
-        for j, c in enumerate(cols):
-            i = 0
-            while c:
-                if c & 1:
-                    rows[i] |= 1 << j
-                c >>= 1
-                i += 1
-        return cls(rows, len(cols))
-
     def entry(self, i: int, j: int) -> int:
-        return self.rows[i] >> j & 1
-
-    def column(self, j: int) -> int:
-        c = 0
-        for i, r in enumerate(self.rows):
-            c |= (r >> j & 1) << i
-        return c
-
-    def columns(self) -> List[int]:
-        cols = [0] * self.ncols
-        for i, r in enumerate(self.rows):
-            ib = 1 << i
-            while r:
-                j = (r & -r).bit_length() - 1
-                cols[j] |= ib
-                r &= r - 1
-        return cols
+        return self.cols[j] >> i & 1
 
     def column_weights(self) -> List[int]:
-        w = [0] * self.ncols
-        for r in self.rows:
-            while r:
-                w[(r & -r).bit_length() - 1] += 1
-                r &= r - 1
-        return w
-
-    def transpose(self) -> "Gf2Matrix":
-        return Gf2Matrix(self.columns(), self.nrows)
+        return [c.bit_count() for c in self.cols]
 
     def matmul(self, other: "Gf2Matrix") -> "Gf2Matrix":
         if self.ncols != other.nrows:
             raise InvalidArgumentError("inner dimensions differ")
-        rows = []
-        for r in self.rows:
+        cols = []
+        for c in other.cols:
             acc = 0
-            while r:
-                acc ^= other.rows[(r & -r).bit_length() - 1]
-                r &= r - 1
-            rows.append(acc)
-        return Gf2Matrix(rows, other.ncols)
+            while c:
+                acc ^= self.cols[(c & -c).bit_length() - 1]
+                c &= c - 1
+            cols.append(acc)
+        return Gf2Matrix(cols, self.nrows)
 
     def is_zero(self) -> bool:
-        return all(r == 0 for r in self.rows)
+        return not any(self.cols)
 
     def rank(self) -> int:
-        return rank_of_bitsets(self.rows)
+        return rank_of_bitsets(self.cols)
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, Gf2Matrix) and self.ncols == other.ncols
-                and self.rows == other.rows)
+        return (isinstance(other, Gf2Matrix) and self.nrows == other.nrows
+                and self.cols == other.cols)
 
     def __hash__(self):
-        return hash((self.ncols, tuple(self.rows)))
+        return hash((self.nrows, tuple(self.cols)))
 
     def __repr__(self) -> str:
         return f"Gf2Matrix({self.nrows}x{self.ncols})"
@@ -158,20 +122,14 @@ def _column_bits(face: Face, lower_index: Dict[Face, int]) -> int:
     return c
 
 
-def boundary_matrix(C: Complex, k: int, max_faces: int | None = None) -> Gf2Matrix:
+def boundary_matrix(C: Complex, k: int, max_faces: int = DEFAULT_MAX_FACES) -> Gf2Matrix:
     """The k-th boundary matrix: rows are (k-1)-faces, columns are k-faces, lex order."""
     if k < 1:
         raise InvalidArgumentError("boundary matrices start at k = 1")
-    kwargs = {} if max_faces is None else {"max_faces": max_faces}
-    levels = C.faces_by_dim(k, **kwargs)
-    lower, upper = levels[k - 1], levels[k]
-    lower_index = {f: i for i, f in enumerate(lower)}
-    rows = [0] * len(lower)
-    for j, face in enumerate(upper):
-        jb = 1 << j
-        for t in range(len(face)):
-            rows[lower_index[face[:t] + face[t + 1:]]] |= jb
-    return Gf2Matrix(rows, len(upper))
+    levels = C.faces_by_dim(k, max_faces=max_faces)
+    lower_index = {f: i for i, f in enumerate(levels[k - 1])}
+    return Gf2Matrix([_column_bits(face, lower_index) for face in levels[k]],
+                     len(lower_index))
 
 
 @dataclass(frozen=True)

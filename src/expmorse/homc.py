@@ -119,9 +119,10 @@ def order_complex_of_hom(cells: Sequence[HomCell],
     """Order complex of a hom cell poset.
 
     Vertices are the cells, facets the maximal chains under refinement.
-    Raises ResourceLimitError once the chains found so far hold more than
-    `max_faces` vertices in total; that total is the first face count
-    `betti_bounded` checks, so nothing it would accept is refused.
+    Raises ResourceLimitError, before listing any chain, when the maximal
+    chains hold more than `max_faces` vertices in total; that total is the
+    first face count `betti_bounded` checks, so nothing it would accept is
+    refused.
     """
     cells = sorted(cells)
     covers = hom_cover_digraph(cells)
@@ -130,21 +131,26 @@ def order_complex_of_hom(cells: Sequence[HomCell],
         for j in below:
             parents[j].append(i)
     minimal = [i for i in range(len(cells)) if not covers[i]]
+    # Chains up from each cell and the vertices they hold. A parent has one
+    # dimension more than its child, so parents are counted first.
+    chains = [0] * len(cells)
+    held = [0] * len(cells)
+    for i in sorted(parents, key=lambda i: -cells[i].dimension):
+        ups = parents[i]
+        chains[i] = sum(chains[j] for j in ups) if ups else 1
+        held[i] = chains[i] + sum(held[j] for j in ups)
+    if sum(held[i] for i in minimal) > max_faces:
+        raise ResourceLimitError(
+            f"maximal chains of the hom poset hold over {max_faces} vertices",
+            bound=max_faces)
     facets: List[Tuple[int, ...]] = []
     chain: List[int] = []
-    spent = 0
 
     def extend(i: int):
-        nonlocal spent
         chain.append(i)
         ups = parents[i]
         if not ups:
             facets.append(tuple(chain))
-            spent += len(chain)
-            if spent > max_faces:
-                raise ResourceLimitError(
-                    f"maximal chains of the hom poset hold over {max_faces} vertices",
-                    bound=max_faces)
         else:
             for j in ups:
                 extend(j)

@@ -258,7 +258,7 @@ class DescentCache:
     direct facet case.
     """
 
-    def __init__(self, P: FacePoset, M: Matching):
+    def __init__(self, M: Matching):
         upper = M.reverse()
         self.sets = _descent_walk(
             M, lambda x: frozenset() if x in upper else frozenset((x,)), _xor)
@@ -292,7 +292,7 @@ def path_cells(M: Matching, starts: Sequence[Face]) -> Set[Face]:
     return seen
 
 
-def alternating_path_parity(P: FacePoset, M: Matching, tau: Face, sigma: Face,
+def alternating_path_parity(M: Matching, tau: Face, sigma: Face,
                             cache: Optional[DescentCache] = None) -> int:
     """Mod-2 count of alternating paths between critical cells of adjacent dimension."""
     if len(tau) != len(sigma) + 1:
@@ -300,7 +300,7 @@ def alternating_path_parity(P: FacePoset, M: Matching, tau: Face, sigma: Face,
     matched = M.matched()
     if tau in matched or sigma in matched:
         raise InvalidArgumentError("parity is defined between critical cells")
-    cache = cache or DescentCache(P, M)
+    cache = cache or DescentCache(M)
     return 1 if sigma in cache.boundary_support(tau) else 0
 
 
@@ -315,7 +315,7 @@ def morse_boundaries(P: FacePoset, M: Matching,
     crit = critical_cells(P, M)
     counts = crit.counts
     top = max((d for d, c in enumerate(counts) if c), default=0)
-    cache = cache or DescentCache(P, M)
+    cache = cache or DescentCache(M)
     mats = []
     for d in range(1, top + 1):
         lows = crit.cells(d - 1)
@@ -326,7 +326,7 @@ def morse_boundaries(P: FacePoset, M: Matching,
             for sigma in cache.boundary_support(tau):
                 bits |= 1 << idx[sigma]
             cols.append(bits)
-        mats.append(Gf2Matrix.from_columns(cols, len(lows)))
+        mats.append(Gf2Matrix(cols, len(lows)))
     return mats
 
 

@@ -129,7 +129,7 @@ def _critical(n: int) -> CriticalSet:
 
 @lru_cache(maxsize=None)
 def _descent(n: int) -> DescentCache:
-    return DescentCache(delta_poset(n), build_matching_mu(n))
+    return DescentCache(build_matching_mu(n))
 
 
 @lru_cache(maxsize=None)
@@ -226,7 +226,7 @@ def _incidence(n: int) -> Tuple[Gf2Matrix, Tuple[Face, ...], Tuple[Face, ...]]:
         for s in support:
             bits |= 1 << rowpos[s]
         colbits.append(bits)
-    return Gf2Matrix.from_columns(colbits, len(rows)), rows, cols
+    return Gf2Matrix(colbits, len(rows)), rows, cols
 
 
 def incidence_matrix_A(n: int) -> Gf2Matrix:

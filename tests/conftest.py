@@ -3,8 +3,15 @@ from __future__ import annotations
 import time
 
 import pytest
+from hypothesis import settings
 
 from expmorse.pipeline import theorem1_report
+
+# One profile for every property test: the same examples on every run, no
+# example database on disk, and no per-example deadline. Tests state only
+# their max_examples.
+settings.register_profile("expmorse", derandomize=True, database=None, deadline=None)
+settings.load_profile("expmorse")
 
 
 def _timed_report(n: int):

@@ -13,9 +13,10 @@ from expmorse.gf2 import (BettiTable, Gf2Matrix, betti_bounded, betti_of_chain,
 from expmorse.graphs import complete_graph, cycle_graph
 
 
-def _naive_rank(rows, ncols):
+def _naive_rank(dense):
     """Textbook row reduction on 0/1 lists, written independently of gf2.py."""
-    M = [[(r >> j) & 1 for j in range(ncols)] for r in rows]
+    M = [list(row) for row in dense]
+    ncols = len(M[0]) if M else 0
     rank = 0
     for col in range(ncols):
         piv = next((i for i in range(rank, len(M)) if M[i][col]), None)
@@ -29,26 +30,35 @@ def _naive_rank(rows, ncols):
     return rank
 
 
+def _dense_of_columns(cols, nrows):
+    """The 0/1 rows of the matrix whose column j has bit i at entry (i, j)."""
+    return [[c >> i & 1 for c in cols] for i in range(nrows)]
+
+
+def _columns_of_dense(dense, ncols):
+    return [sum(row[j] << i for i, row in enumerate(dense)) for j in range(ncols)]
+
+
 def test_rank_against_naive_elimination():
     rng = random.Random(7)
     for _ in range(150):
         nr, nc = rng.randint(1, 18), rng.randint(1, 18)
-        rows = [rng.getrandbits(nc) for _ in range(nr)]
-        M = Gf2Matrix(rows, nc)
-        want = _naive_rank(rows, nc)
+        cols = [rng.getrandbits(nr) for _ in range(nc)]
+        M = Gf2Matrix(cols, nr)
+        want = _naive_rank(_dense_of_columns(cols, nr))
         assert M.rank() == want
         assert rank_gf2(M) == want
-        assert rank_of_bitsets(M.columns()) == want
-        assert M.transpose().rank() == want
+        assert rank_of_bitsets(cols) == want
 
 
 def test_matmul_against_naive():
     rng = random.Random(3)
     for _ in range(40):
         a, b, c = rng.randint(1, 8), rng.randint(1, 8), rng.randint(1, 8)
-        A = Gf2Matrix([rng.getrandbits(b) for _ in range(a)], b)
-        B = Gf2Matrix([rng.getrandbits(c) for _ in range(b)], c)
+        A = Gf2Matrix([rng.getrandbits(a) for _ in range(b)], a)
+        B = Gf2Matrix([rng.getrandbits(b) for _ in range(c)], b)
         P = A.matmul(B)
+        assert (P.nrows, P.ncols) == (a, c)
         for i in range(a):
             for j in range(c):
                 want = sum(A.entry(i, k) * B.entry(k, j) for k in range(b)) % 2
@@ -56,16 +66,48 @@ def test_matmul_against_naive():
 
 
 def test_matrix_constructors_and_shapes():
-    M = Gf2Matrix.from_columns([0b11, 0b01], nrows=2)
+    M = Gf2Matrix([0b11, 0b01], nrows=2)
     assert (M.nrows, M.ncols) == (2, 2)
-    assert M.column(0) == 0b11
+    assert (M.entry(0, 0), M.entry(1, 0), M.entry(0, 1), M.entry(1, 1)) == (1, 1, 1, 0)
     assert M.column_weights() == [2, 1]
     assert Gf2Matrix.identity(4).rank() == 4
-    assert Gf2Matrix.zeros(3, 5).is_zero()
+    Z = Gf2Matrix.zeros(3, 5)
+    assert Z.is_zero() and (Z.nrows, Z.ncols) == (3, 5)
+    assert not hasattr(M, "rows")
     with pytest.raises(InvalidArgumentError):
-        Gf2Matrix([0b100], 2)  # row overflows declared width
+        Gf2Matrix([0b100], 2)  # column overflows declared height
     with pytest.raises(InvalidArgumentError):
         Gf2Matrix.identity(2).matmul(Gf2Matrix.identity(3))
+
+
+@st.composite
+def _dense_factors(draw):
+    """Dense 0/1 matrices A (m x k) and B (k x p), as lists of rows."""
+    m, k, p = (draw(st.integers(0, 7)) for _ in range(3))
+    bits = st.integers(0, 1)
+    A = draw(st.lists(st.lists(bits, min_size=k, max_size=k), min_size=m, max_size=m))
+    B = draw(st.lists(st.lists(bits, min_size=p, max_size=p), min_size=k, max_size=k))
+    return A, B, m, k, p
+
+
+@settings(max_examples=150)
+@given(_dense_factors())
+def test_column_matrix_against_dense_oracle(factors):
+    A, B, m, k, p = factors
+    MA = Gf2Matrix(_columns_of_dense(A, k), m)
+    MB = Gf2Matrix(_columns_of_dense(B, p), k)
+    At = [[A[i][j] for i in range(m)] for j in range(k)]
+    assert MA.rank() == _naive_rank(A) == _naive_rank(At)
+    P = MA.matmul(MB)
+    assert (P.nrows, P.ncols) == (m, p)
+    for i in range(m):
+        for j in range(p):
+            assert P.entry(i, j) == sum(A[i][t] * B[t][j] for t in range(k)) % 2
+    assert MA.column_weights() == [sum(A[i][j] for i in range(m)) for j in range(k)]
+    with pytest.raises(InvalidArgumentError):
+        Gf2Matrix(_columns_of_dense(A, k) + [1 << m], m)
+    with pytest.raises(InvalidArgumentError):
+        Gf2Matrix([], -1)
 
 
 def test_boundary_matrix_entries():
@@ -137,7 +179,7 @@ def _check_against_dense(C, maxdim, budget):
     assert bt.betti == _dense_betti(C, maxdim)[:fits + 1]
 
 
-@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(st.lists(st.lists(st.integers(0, 8), min_size=1, max_size=7), min_size=1, max_size=8),
        st.integers(1, 400))
 def test_betti_bounded_against_dense_ranks(facets, small_budget):

@@ -56,7 +56,7 @@ def test_cyclic_fixture_rejected_with_explicit_cycle():
             assert CYCLIC_MATCHING.pairs[cell] == neigh  # up through the pairing
     # The memoized descent walk refuses the cycle instead of looping.
     with pytest.raises(InternalConsistencyError):
-        DescentCache(P, CYCLIC_MATCHING).sets((0,))
+        DescentCache(CYCLIC_MATCHING).sets((0,))
     with pytest.raises(InternalConsistencyError):
         path_cells(CYCLIC_MATCHING, [(0, 1)])
 
@@ -122,7 +122,7 @@ def test_parity_matches_exhaustive_enumeration():
     P = delta_poset(n)
     M = build_matching_mu(n)
     crit = critical_cells(P, M)
-    cache = DescentCache(P, M)
+    cache = DescentCache(M)
     on_paths = set()
     for tau in crit.cells(2):
         paths = enumerate_alternating_paths(P, M, tau)
@@ -132,7 +132,7 @@ def test_parity_matches_exhaustive_enumeration():
             ends[p[-1]] = ends.get(p[-1], 0) + 1
         for sigma in crit.cells(1):
             want = ends.get(sigma, 0) % 2
-            assert alternating_path_parity(P, M, tau, sigma, cache) == want
+            assert alternating_path_parity(M, tau, sigma, cache) == want
         assert cache.boundary_support(tau) == frozenset(
             s for s, k in ends.items() if k % 2)
     assert path_cells(M, crit.cells(2)) == on_paths | set(crit.cells(2))
@@ -145,9 +145,9 @@ def test_parity_rejects_non_critical_or_bad_dims():
     crit = critical_cells(P, M)
     tau = crit.cells(2)[0]
     with pytest.raises(InvalidArgumentError):
-        alternating_path_parity(P, M, tau, crit.cells(0)[0])
+        alternating_path_parity(M, tau, crit.cells(0)[0])
     with pytest.raises(InvalidArgumentError):
-        alternating_path_parity(P, M, tau, M.pairs[next(iter(M.pairs))])
+        alternating_path_parity(M, tau, M.pairs[next(iter(M.pairs))])
 
 
 def test_morse_chain_of_delta3_gives_known_betti():

@@ -33,7 +33,10 @@ PINNED_COMMANDS = {
     "reproduce-n3.csv": ["reproduce", "--n", "3", "--format", "csv"],
     "reproduce-n4-morse.csv": ["reproduce", "--n", "4", "--method", "morse",
                                "--format", "csv"],
+    "reproduce-n5-morse.csv": ["reproduce", "--n", "5", "--method", "morse",
+                               "--format", "csv"],
     "verify-n3-all.txt": ["verify", "--n", "3", "--lemma", "all"],
+    "verify-n4-all.txt": ["verify", "--n", "4", "--lemma", "all"],
 }
 
 

@@ -67,10 +67,7 @@ def test_incidence_matrix_rank_and_columns(n, rank):
     assert rank_gf2(A) == rank == math.factorial(n) - 1
     assert all(w == 2 for w in A.column_weights())
     # column sums vanish mod 2, so rank can never reach the row count
-    acc = 0
-    for r in A.rows:
-        acc ^= r
-    assert acc == 0
+    assert all(c.bit_count() % 2 == 0 for c in A.cols)
 
 
 def test_two_path_targets_by_exhaustive_enumeration():
@@ -154,3 +151,12 @@ def test_corollary_small_cases(m, n, betti, comps):
 def test_report_rejects_tiny_n():
     with pytest.raises(InvalidArgumentError):
         theorem1_report(2)
+
+
+def test_report_n6_morse_route():
+    # The largest size the Morse route runs at; brute force covers Δ only.
+    rep = theorem1_report(6, include_bruteforce=False)
+    assert rep.ok
+    assert rep.betti == (1, 1, 10081, 0, 0, 1)
+    assert rep.critical == (1, 720, 10800, 0, 0, 1)
+    assert rep.rank_d2 == 719

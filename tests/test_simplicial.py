@@ -69,7 +69,7 @@ def test_contains_and_collapse_owner_lookup():
         C.collapse([((0, 3), None)])  # no owner
 
 
-@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(st.lists(st.lists(st.integers(0, 7), min_size=1, max_size=6), min_size=1, max_size=7),
        st.lists(st.integers(-1, 8), max_size=4))
 def test_cofacet_vertices_against_contains(facets, extra):
