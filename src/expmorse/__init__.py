@@ -6,16 +6,14 @@ from .complexes import (Complex, build_delta, complex_to_json,
 from .errors import (ExpmorseError, InternalConsistencyError, InvalidArgumentError,
                      InvalidChainError, LemmaViolationError, PreconditionError,
                      ResourceLimitError)
-from .gf2 import (BettiTable, Gf2Matrix, betti_bounded, betti_of_chain,
-                  boundary_matrix, rank_gf2)
+from .gf2 import BettiTable, Gf2Matrix, betti_bounded, betti_of_chain, rank_gf2
 from .graphs import (FnVertex, Graph, categorical_product, complete_graph,
                      core_vertices, cycle_graph, exponential_graph, find_fold,
                      fold_core_exponential, fold_reduce, graph_from_json,
                      graph_to_json, neighborhood, variant)
 from .homc import HomCell, enumerate_hom_cells, hom_cover_digraph, order_complex_of_hom
 from .morse import (AcyclicityResult, CriticalSet, DescentCache, FacePoset,
-                    Matching, alternating_path_parity, critical_cells,
-                    enumerate_alternating_paths, face_poset, is_acyclic,
+                    Matching, critical_cells, face_poset, is_acyclic,
                     morse_boundaries, validate_matching)
 from .pipeline import (LEMMA_KEYS, CorollaryReport, PipelineReport,
                        build_matching_mu, closed_form_critical,

@@ -210,6 +210,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except MemoryError:
+        print("resource limit: out of memory", file=sys.stderr)
+        return EXIT_RESOURCE
     except ExpmorseError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return EXIT_MISMATCH

@@ -7,7 +7,6 @@ collapse keeps a per-vertex set of the facets it has not yet removed.
 from __future__ import annotations
 
 import itertools
-import logging
 from math import comb
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -23,8 +22,6 @@ __all__ = [
     "complex_to_json",
     "DEFAULT_MAX_FACES",
 ]
-
-log = logging.getLogger(__name__)
 
 DEFAULT_MAX_FACES = 5_000_000
 
@@ -113,22 +110,14 @@ class Complex:
         return sum(comb(len(f), dim + 1) for f in self.facets)
 
     def iter_faces_of_dim(self, dim: int) -> Iterator[Face]:
-        """All faces of one dimension, each yielded once (owned by its first facet)."""
-        k = dim + 1
-        for j, facet in enumerate(self.facets):
-            if len(facet) < k:
-                continue
-            jb = 1 << j
-            vmask = self._vmask
-            for face in itertools.combinations(facet, k):
-                m = vmask[face[0]]
-                for v in face[1:]:
-                    m &= vmask[v]
-                if m & (jb - 1) == 0:
-                    yield face
+        """Every face of one dimension, each once, in lex order: the sorted set of facet subsets."""
+        faces: Set[Face] = set()
+        for facet in self.facets:
+            faces.update(itertools.combinations(facet, dim + 1))
+        return iter(sorted(faces))
 
     def faces_by_dim(self, maxdim: int, max_faces: int = DEFAULT_MAX_FACES) -> List[List[Face]]:
-        """Faces of each dimension 0..maxdim, lexicographically sorted per dimension."""
+        """Faces of each dimension 0..maxdim: each once, in lexicographic order per dimension."""
         total = sum(self.face_count_estimate(d) for d in range(maxdim + 1))
         if total > max_faces:
             big = max((len(f) for f in self.facets), default=0)
@@ -136,12 +125,7 @@ class Complex:
                 f"enumerating faces up to dim {maxdim} needs ~{total} steps "
                 f"(largest facet has {big} vertices), over the bound {max_faces}",
                 bound=max_faces)
-        out = []
-        for d in range(maxdim + 1):
-            faces = sorted(self.iter_faces_of_dim(d))
-            log.debug("dim %d: %d faces", d, len(faces))
-            out.append(faces)
-        return out
+        return [list(self.iter_faces_of_dim(d)) for d in range(maxdim + 1)]
 
     def collapse(self, steps: Iterable[Tuple[Sequence[int], Optional[Sequence[int]]]]
                  ) -> "Complex":

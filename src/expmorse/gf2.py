@@ -23,7 +23,6 @@ __all__ = [
     "BettiTable",
     "rank_of_bitsets",
     "rank_gf2",
-    "boundary_matrix",
     "betti_bounded",
     "betti_of_chain",
 ]
@@ -43,14 +42,6 @@ class Gf2Matrix:
         for c in self.cols:
             if c >> nrows:
                 raise InvalidArgumentError("column has bits beyond the row count")
-
-    @classmethod
-    def zeros(cls, nrows: int, ncols: int) -> "Gf2Matrix":
-        return cls([0] * ncols, nrows)
-
-    @classmethod
-    def identity(cls, n: int) -> "Gf2Matrix":
-        return cls([1 << i for i in range(n)], n)
 
     def entry(self, i: int, j: int) -> int:
         return self.cols[j] >> i & 1
@@ -122,16 +113,6 @@ def _column_bits(face: Face, lower_index: Dict[Face, int]) -> int:
     return c
 
 
-def boundary_matrix(C: Complex, k: int, max_faces: int = DEFAULT_MAX_FACES) -> Gf2Matrix:
-    """The k-th boundary matrix: rows are (k-1)-faces, columns are k-faces, lex order."""
-    if k < 1:
-        raise InvalidArgumentError("boundary matrices start at k = 1")
-    levels = C.faces_by_dim(k, max_faces=max_faces)
-    lower_index = {f: i for i, f in enumerate(levels[k - 1])}
-    return Gf2Matrix([_column_bits(face, lower_index) for face in levels[k]],
-                     len(lower_index))
-
-
 @dataclass(frozen=True)
 class BettiTable:
     """Z2 Betti numbers for dimensions 0..max_verified_dim; nothing is claimed beyond."""
@@ -169,20 +150,19 @@ def betti_bounded(C: Complex, maxdim: int, max_faces: int = DEFAULT_MAX_FACES) -
     """
     if maxdim < 0:
         raise InvalidArgumentError("maxdim must be nonnegative")
-    levels: List[List[Face]] = []
-    spent = 0
+    top = spent = 0  # top: the first dimension that is not listed
     for d in range(maxdim + 1):
         est = C.face_count_estimate(d)
         if spent + est > max_faces:
             break
-        levels.append(sorted(C.iter_faces_of_dim(d)))
+        top += 1
         spent += est
-    if not levels:
+    if not top:
         raise ResourceLimitError(
             f"cannot enumerate even the vertices within the budget {max_faces}",
             bound=max_faces)
+    levels = C.faces_by_dim(top - 1, max_faces)
 
-    top = len(levels)  # first dimension that was not listed
     top_est = C.face_count_estimate(top)
     streamed = spent + top_est <= max_faces
     verified = top - 1 if streamed else top - 2

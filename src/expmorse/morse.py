@@ -3,7 +3,7 @@
 A matching pairs a cell with a cofacet; acyclic matchings induce a chain
 complex on the critical cells whose boundary entries count alternating
 descent paths mod 2. Parities are computed by memoized traversal of the
-descent relation; an exhaustive path enumerator is kept for cross-checks.
+descent relation.
 """
 from __future__ import annotations
 
@@ -12,8 +12,7 @@ from typing import (Callable, Dict, FrozenSet, List, Optional, Sequence, Set,
                     Tuple, TypeVar)
 
 from .complexes import Complex, Face
-from .errors import (InternalConsistencyError, InvalidArgumentError,
-                     ResourceLimitError)
+from .errors import InternalConsistencyError
 from .gf2 import Gf2Matrix
 
 __all__ = [
@@ -27,9 +26,7 @@ __all__ = [
     "critical_cells",
     "DescentCache",
     "path_cells",
-    "alternating_path_parity",
     "morse_boundaries",
-    "enumerate_alternating_paths",
     "DEFAULT_MAX_CELLS",
 ]
 
@@ -292,18 +289,6 @@ def path_cells(M: Matching, starts: Sequence[Face]) -> Set[Face]:
     return seen
 
 
-def alternating_path_parity(M: Matching, tau: Face, sigma: Face,
-                            cache: Optional[DescentCache] = None) -> int:
-    """Mod-2 count of alternating paths between critical cells of adjacent dimension."""
-    if len(tau) != len(sigma) + 1:
-        raise InvalidArgumentError("cells must sit in adjacent dimensions")
-    matched = M.matched()
-    if tau in matched or sigma in matched:
-        raise InvalidArgumentError("parity is defined between critical cells")
-    cache = cache or DescentCache(M)
-    return 1 if sigma in cache.boundary_support(tau) else 0
-
-
 def morse_boundaries(P: FacePoset, M: Matching,
                      cache: Optional[DescentCache] = None) -> List[Gf2Matrix]:
     """Boundary matrices of the critical-cell chain complex, dimensions 1..top.
@@ -328,34 +313,3 @@ def morse_boundaries(P: FacePoset, M: Matching,
             cols.append(bits)
         mats.append(Gf2Matrix(cols, len(lows)))
     return mats
-
-
-def enumerate_alternating_paths(P: FacePoset, M: Matching, start: Face,
-                                end: Optional[Face] = None,
-                                max_paths: int = 100_000) -> List[Tuple[Face, ...]]:
-    """Every alternating path from a critical cell down to critical cells.
-
-    Exhaustive and unmemoized, so only suitable for small inputs; used to
-    cross-check the parity computation. Paths are full cell sequences
-    (start, x1, pair(x1), ..., end); the direct-facet path has length 2.
-    """
-    pairs = M.pairs
-    upper = M.reverse()
-    out: List[Tuple[Face, ...]] = []
-
-    def descend(x: Face, prefix: Tuple[Face, ...]):
-        if len(out) >= max_paths:
-            raise ResourceLimitError(f"more than {max_paths} alternating paths",
-                                     bound=max_paths)
-        up = pairs.get(x)
-        if up is None:
-            if x not in upper and (end is None or x == end):
-                out.append(prefix + (x,))
-            return
-        for y in _subfaces(up):
-            if y != x:
-                descend(y, prefix + (x, up))
-
-    for y in _subfaces(start):
-        descend(y, (start,))
-    return out

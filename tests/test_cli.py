@@ -119,6 +119,17 @@ def test_hom_order_complex_over_budget_exits_three(capsys):
     assert "resource" in err.lower()
 
 
+def test_out_of_memory_exits_three(monkeypatch, capsys):
+    def exhausted(n, **kw):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "theorem1_report", exhausted)
+    code, out, err = _run(capsys, "reproduce", "--n", "3")
+    assert code == 3
+    assert out == ""
+    assert err == "resource limit: out of memory\n"
+
+
 def test_mismatch_exit_one(monkeypatch, capsys):
     class Fake:
         ok = False

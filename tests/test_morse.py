@@ -9,11 +9,10 @@ from expmorse.complexes import Complex, build_delta, neighborhood_complex
 from expmorse.errors import InternalConsistencyError, InvalidArgumentError
 from expmorse.gf2 import betti_bounded, betti_of_chain
 from expmorse.graphs import cycle_graph
-from expmorse.morse import (DescentCache, FacePoset, Matching,
-                            alternating_path_parity, critical_cells,
-                            enumerate_alternating_paths, face_poset,
-                            is_acyclic, morse_boundaries, path_cells,
+from expmorse.morse import (DescentCache, FacePoset, Matching, critical_cells,
+                            face_poset, is_acyclic, morse_boundaries, path_cells,
                             validate_matching)
+from oracles import alternating_path_parity, enumerate_alternating_paths
 
 SQUARE = Complex(list("abcd"), [(0, 1), (1, 2), (2, 3), (0, 3)])
 CYCLIC_MATCHING = Matching({(0,): (0, 1), (1,): (1, 2), (2,): (2, 3), (3,): (0, 3)})
@@ -125,7 +124,7 @@ def test_parity_matches_exhaustive_enumeration():
     cache = DescentCache(M)
     on_paths = set()
     for tau in crit.cells(2):
-        paths = enumerate_alternating_paths(P, M, tau)
+        paths = enumerate_alternating_paths(M, tau)
         on_paths.update(cell for p in paths for cell in p)
         ends = {}
         for p in paths:

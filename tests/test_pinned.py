@@ -6,6 +6,7 @@ so a refactor that reorders, renames or drops a crosscheck fails here.
 """
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -37,6 +38,9 @@ PINNED_COMMANDS = {
                                "--format", "csv"],
     "verify-n3-all.txt": ["verify", "--n", "3", "--lemma", "all"],
     "verify-n4-all.txt": ["verify", "--n", "4", "--lemma", "all"],
+    "compute-exp-3-2.json": ["compute", "homology", "--exp", "3", "2", "--max-dim", "2"],
+    "compute-hom-k2-k6.json": ["compute", "hom", "--g", "k2", "--h", "k6"],
+    "compute-c9.csv": ["compute", "homology", "--graph", "c9", "--format", "csv"],
 }
 
 
@@ -58,19 +62,30 @@ def test_report_crosscheck_names_n5(timed_report5):
 
 def test_benchmark_tracer_installs_on_the_real_modules():
     # perfbench/tracer.py wraps module attributes by name; a renamed or
-    # deleted one fails its install. A fresh interpreter keeps the wrappers
-    # out of this test process.
+    # deleted one fails its install. It also lists NC's faces itself after a
+    # traced report; each of those spans must count what faces_by_dim lists.
+    # A fresh interpreter keeps the wrappers out of this test process.
     code = (
-        "import sys\n"
+        "import contextlib, io, json, sys\n"
         f"sys.path.insert(0, {str(ROOT / 'perfbench')!r})\n"
         "from tracer import Tracer\n"
         "from expmorse import cli, complexes, gf2, graphs, homc, pipeline\n"
-        "Tracer().install(cli, pipeline, graphs, complexes, gf2, homc)\n"
-        "sys.exit(cli.main(['verify', '--n', '3', '--lemma', 'census']))\n")
+        "t = Tracer()\n"
+        "t.install(cli, pipeline, graphs, complexes, gf2, homc)\n"
+        "assert cli.main(['verify', '--n', '3', '--lemma', 'census']) == 0\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['reproduce', '--n', '3']) == 0\n"
+        "t.enumerate_nc_faces()\n"
+        "want = [len(level) for C, _ in t.nc_calls for level in C.faces_by_dim(C.dim)]\n"
+        "got = [s[4]['faces'] for s in t.spans if s[0] == 'complexes.enum']\n"
+        "print(json.dumps([got, want]))\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "census: pass\n"
+    census, counts = proc.stdout.splitlines()
+    assert census == "census: pass"
+    got, want = json.loads(counts)
+    assert got == want == [28, 270, 576, 624, 528, 336, 144, 36, 4]

@@ -45,6 +45,21 @@ def test_faces_by_dim_matches_subset_enumeration():
             assert set(C.iter_faces_of_dim(d)) == {f for f in want if len(f) == d + 1}
 
 
+@settings(max_examples=150)
+@given(st.lists(st.lists(st.integers(0, 8), min_size=1, max_size=7), min_size=1, max_size=8))
+def test_face_listing_against_contains(facets):
+    # the oracle tests every subset of the vertex set, so it shares nothing
+    # with the listing; combinations() yields them in lex order
+    V = 9
+    C = Complex([str(i) for i in range(V)], facets)
+    levels = C.faces_by_dim(C.dim)
+    for d in range(C.dim + 1):
+        want = [c for c in itertools.combinations(range(V), d + 1) if C.contains(c)]
+        assert levels[d] == want
+        faces = C.iter_faces_of_dim(d)
+        assert iter(faces) is faces and list(faces) == want
+
+
 def test_face_count_estimate_upper_bounds_actual():
     C = build_delta(3)
     for d in range(C.dim + 1):
