@@ -1,8 +1,10 @@
 """Simplicial complexes in facet form, free-face collapses, and the collapsed model.
 
 Faces are sorted tuples of vertex indices. A complex stores only its maximal
-faces; membership queries go through per-vertex facet bitmasks, and a
-collapse keeps a per-vertex set of the facets it has not yet removed.
+faces and one facet index: for each vertex, the set of ids (positions in
+`facets`) of the facets that contain it. "Which facets contain this face?"
+intersects those sets, smallest first; membership, cofacets, the maximality
+filter and free-face collapses all ask it that way.
 """
 from __future__ import annotations
 
@@ -28,10 +30,30 @@ DEFAULT_MAX_FACES = 5_000_000
 Face = Tuple[int, ...]
 
 
+def _holders(index: Sequence[Set[int]], face: Sequence[int]) -> Set[int]:
+    """A new set of the ids of the facets containing `face` (nonempty, in range).
+
+    Each intersection iterates over its smaller operand, so beyond two
+    vertices the sets go smallest first.
+    """
+    if len(face) <= 2:
+        return index[face[0]] & index[face[-1]]
+    sets = sorted([index[v] for v in face], key=len)
+    return sets[0].intersection(*sets[1:])
+
+
+def _facet_index(facets: Sequence[Face], n: int) -> List[Set[int]]:
+    index: List[Set[int]] = [set() for _ in range(n)]
+    for j, f in enumerate(facets):
+        for v in f:
+            index[v].add(j)
+    return index
+
+
 class Complex:
     """A simplicial complex given by its facets (pairwise incomparable maximal faces)."""
 
-    __slots__ = ("labels", "facets", "_vmask", "_fverts")
+    __slots__ = ("labels", "facets", "_index", "_fverts")
 
     def __init__(self, labels: Sequence[str], facets: Iterable[Iterable[int]]):
         self.labels = tuple(labels)
@@ -45,22 +67,11 @@ class Complex:
                 raise InvalidArgumentError(f"facet {t} has a vertex out of range")
             canon.add(t)
         ordered = sorted(canon)
-        vmask = [0] * n
-        for j, f in enumerate(ordered):
-            for v in f:
-                vmask[v] |= 1 << j
-        keep = []
-        for j, f in enumerate(ordered):
-            m = vmask[f[0]]
-            for v in f[1:]:
-                m &= vmask[v]
-            if m == (1 << j):
-                keep.append(f)
-        self.facets = tuple(keep)
-        self._vmask = [0] * n
-        for j, f in enumerate(self.facets):
-            for v in f:
-                self._vmask[v] |= 1 << j
+        index = _facet_index(ordered, n)
+        longest = max(map(len, ordered), default=0)  # no other facet can contain a longest one
+        self.facets = tuple(f for f in ordered
+                            if len(f) == longest or len(_holders(index, f)) == 1)
+        self._index = index if len(self.facets) == len(ordered) else _facet_index(self.facets, n)
         self._fverts: Optional[List[int]] = None
 
     @property
@@ -77,10 +88,7 @@ class Complex:
             return True
         if face[0] < 0 or face[-1] >= len(self.labels):
             return False
-        m = self._vmask[face[0]]
-        for v in face[1:]:
-            m &= self._vmask[v]
-        return m != 0
+        return bool(_holders(self._index, face))
 
     def cofacet_vertices(self, face: Sequence[int]) -> int:
         """Bitmask of the vertices v not in `face` with face + (v,) a face.
@@ -91,18 +99,14 @@ class Complex:
         if self._fverts is None:
             self._fverts = [sum(1 << v for v in f) for f in self.facets]
         n = len(self.labels)
-        m = (1 << len(self.facets)) - 1
         own = 0
         for v in face:
             if not 0 <= v < n:
                 return 0
-            m &= self._vmask[v]
             own |= 1 << v
         out = 0
-        while m:
-            low = m & -m
-            out |= self._fverts[low.bit_length() - 1]
-            m ^= low
+        for j in (_holders(self._index, face) if face else range(len(self.facets))):
+            out |= self._fverts[j]
         return out & ~own
 
     def face_count_estimate(self, dim: int) -> int:
@@ -117,15 +121,17 @@ class Complex:
         return iter(sorted(faces))
 
     def faces_by_dim(self, maxdim: int, max_faces: int = DEFAULT_MAX_FACES) -> List[List[Face]]:
-        """Faces of each dimension 0..maxdim: each once, in lexicographic order per dimension."""
-        total = sum(self.face_count_estimate(d) for d in range(maxdim + 1))
+        """Faces of each dimension 0..maxdim, each once, in lex order; none above `dim`."""
+        top = min(maxdim, self.dim)
+        total = sum(self.face_count_estimate(d) for d in range(top + 1))
         if total > max_faces:
             big = max((len(f) for f in self.facets), default=0)
             raise ResourceLimitError(
                 f"enumerating faces up to dim {maxdim} needs ~{total} steps "
                 f"(largest facet has {big} vertices), over the bound {max_faces}",
                 bound=max_faces)
-        return [list(self.iter_faces_of_dim(d)) for d in range(maxdim + 1)]
+        return ([list(self.iter_faces_of_dim(d)) for d in range(top + 1)]
+                + [[] for _ in range(maxdim - top)])
 
     def collapse(self, steps: Iterable[Tuple[Sequence[int], Optional[Sequence[int]]]]
                  ) -> "Complex":
@@ -138,38 +144,36 @@ class Complex:
         `face` becomes a facet unless a remaining facet already contains it.
         """
         n = len(self.labels)
-        owners: List[Set[Face]] = [set() for _ in range(n)]
-        for f in self.facets:
-            for v in f:
-                owners[v].add(f)
-
-        def holders(face: Sequence[int]) -> Set[Face]:
-            sets = sorted((owners[v] for v in face), key=len)
-            return sets[0].intersection(*sets[1:])
-
+        table = dict(enumerate(self.facets))  # id -> facet, for the facets not removed yet
+        fresh = itertools.count(len(table))
+        index = [set(ids) for ids in self._index]
         for face, facet in steps:
             face = tuple(sorted(set(face)))
             if not face or face[0] < 0 or face[-1] >= n:
                 raise InvalidArgumentError(f"face {face} is empty or has a vertex out of range")
-            found = holders(face)
+            found = _holders(index, face)
+            j = next(iter(found), None)
             if facet is None:
                 if len(found) != 1:
                     raise PreconditionError(
                         f"face {face} should have a unique facet, found {len(found)}")
-                facet = next(iter(found))
+                facet = table[j]
             facet = tuple(sorted(set(facet)))
             if not set(face) < set(facet):
                 raise InvalidArgumentError(f"{face} is not a proper nonempty subset of {facet}")
-            if found != {facet}:
+            if len(found) != 1 or table[j] != facet:
                 raise PreconditionError(f"{face} is not a free face of {facet}")
+            del table[j]
             for v in facet:
-                owners[v].discard(facet)
+                index[v].discard(j)
             for s in face:
                 rest = tuple(v for v in facet if v != s)
-                if not holders(rest):
+                if not _holders(index, rest):
+                    k = next(fresh)
+                    table[k] = rest
                     for v in rest:
-                        owners[v].add(rest)
-        return Complex(self.labels, {f for fs in owners for f in fs})
+                        index[v].add(k)
+        return Complex(self.labels, table.values())
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Complex)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from itertools import accumulate
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .complexes import DEFAULT_MAX_FACES, Complex, Face
@@ -143,46 +144,43 @@ class BettiTable:
 def betti_bounded(C: Complex, maxdim: int, max_faces: int = DEFAULT_MAX_FACES) -> BettiTable:
     """Brute-force Z2 Betti numbers of dimensions 0..maxdim.
 
-    Faces of dimensions 0..maxdim are listed and their boundaries reduced in
-    lex order. The rank of the next boundary, whose faces are never listed,
-    is taken from its transpose (`_coboundary_rank`). If a dimension would
-    blow the face budget the table is truncated to what was actually verified.
+    The verified dimension v is the largest d <= maxdim whose face estimates
+    for dimensions 0..d+1 fit the budget. Faces of dimensions 0..v are listed
+    and their boundaries reduced in lex order; the next boundary, whose faces
+    are never listed, is ranked through its transpose (`_coboundary_rank`).
+    Dimensions above `C.dim` cost nothing and have Betti number 0, but a
+    maxdim above the budget itself is refused.
     """
     if maxdim < 0:
         raise InvalidArgumentError("maxdim must be nonnegative")
-    top = spent = 0  # top: the first dimension that is not listed
-    for d in range(maxdim + 1):
-        est = C.face_count_estimate(d)
-        if spent + est > max_faces:
-            break
-        top += 1
-        spent += est
-    if not top:
+    top = min(maxdim, C.dim)  # the last dimension that can have faces
+    spent = list(accumulate(map(C.face_count_estimate, range(top + 2))))  # spent[d]: dims 0..d
+    if spent[0] > max_faces:
         raise ResourceLimitError(
             f"cannot enumerate even the vertices within the budget {max_faces}",
             bound=max_faces)
-    levels = C.faces_by_dim(top - 1, max_faces)
-
-    top_est = C.face_count_estimate(top)
-    streamed = spent + top_est <= max_faces
-    verified = top - 1 if streamed else top - 2
-    if verified < 0:
+    v = next((d - 2 for d, s in enumerate(spent) if s > max_faces), maxdim)
+    if v < 0:
         raise ResourceLimitError(
             f"face budget {max_faces} too small to verify any dimension", bound=max_faces)
-    ranks = [0] * (top + 2)
-    cleared = 0  # (top-1)-faces whose boundary column stays nonzero
-    record = streamed and top_est > 0
-    for k in range(1, top):
+    if v > max_faces:  # then v = maxdim > C.dim: a table of zeros longer than the budget
+        raise ResourceLimitError(
+            f"max dim {maxdim} is over the face budget {max_faces}", bound=max_faces)
+    levels = C.faces_by_dim(min(v, top), max_faces)
+    ranks = [0] * (len(levels) + 1)
+    cobound = v <= top and spent[v + 1] > spent[v]  # rank the next boundary by its transpose
+    cleared = 0  # faces of level v whose boundary column stays nonzero
+    for k in range(1, len(levels)):
         lower_index = {f: i for i, f in enumerate(levels[k - 1])}
         for j in _independent(_column_bits(face, lower_index) for face in levels[k]):
             ranks[k] += 1
-            if record and k == top - 1:
+            if cobound and k == v:
                 cleared |= 1 << j
-    if record:
-        ranks[top] = _coboundary_rank(C, levels[top - 1], cleared)
+    if cobound:
+        ranks[v + 1] = _coboundary_rank(C, levels[v], cleared)
 
-    betti = tuple(len(levels[k]) - ranks[k] - ranks[k + 1] for k in range(verified + 1))
-    return BettiTable(betti, "bruteforce", verified)
+    betti = tuple(len(levels[k]) - ranks[k] - ranks[k + 1] for k in range(len(levels)))
+    return BettiTable(betti + (0,) * (v + 1 - len(betti)), "bruteforce", v)
 
 
 def _coboundary_rank(C: Complex, faces: List[Face], cleared: int) -> int:

@@ -27,10 +27,7 @@ __all__ = [
     "DescentCache",
     "path_cells",
     "morse_boundaries",
-    "DEFAULT_MAX_CELLS",
 ]
-
-DEFAULT_MAX_CELLS = 2_000_000
 
 T = TypeVar("T")
 
@@ -67,9 +64,9 @@ class FacePoset:
         return f"FacePoset({self.size} cells, dim {self.dim})"
 
 
-def face_poset(C: Complex, max_cells: int = DEFAULT_MAX_CELLS) -> FacePoset:
-    """Materialize every face of the complex. Meant for small complexes."""
-    return FacePoset(C.labels, C.faces_by_dim(C.dim, max_faces=max_cells))
+def face_poset(C: Complex) -> FacePoset:
+    """Materialize every face of the complex, under `faces_by_dim`'s default face budget."""
+    return FacePoset(C.labels, C.faces_by_dim(C.dim))
 
 
 class Matching:

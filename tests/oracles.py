@@ -1,17 +1,118 @@
 """Reference implementations the tests check the program against.
 
 The program never calls these. They are written plainly, so that a test
-compares a fast route with a direct one: whole boundary matrices, an
-exhaustive path enumerator, and the path parity it implies.
+compares a fast route with a direct one: a complex indexed by dense
+per-vertex facet bitmasks, whole boundary matrices, an exhaustive path
+enumerator, and the path parity it implies.
 """
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 from expmorse.complexes import Complex, Face
-from expmorse.errors import InvalidArgumentError, ResourceLimitError
+from expmorse.errors import InvalidArgumentError, PreconditionError, ResourceLimitError
 from expmorse.gf2 import Gf2Matrix
 from expmorse.morse import DescentCache, Matching
+
+
+class BitmaskComplex:
+    """`Complex`'s facets, membership, cofacets and collapse, on other data structures.
+
+    Bit j of `_vmask[v]` says that facet j contains vertex v, so the facets
+    containing a face are the AND of its vertices' masks. A collapse keeps,
+    per vertex, the set of facet tuples that contain it.
+    """
+
+    def __init__(self, labels: Sequence[str], facets: Iterable[Iterable[int]]):
+        self.labels = tuple(labels)
+        n = len(self.labels)
+        canon = set()
+        for f in facets:
+            t = tuple(sorted(set(f)))
+            if not t:
+                continue
+            if t[0] < 0 or t[-1] >= n:
+                raise InvalidArgumentError(f"facet {t} has a vertex out of range")
+            canon.add(t)
+        ordered = sorted(canon)
+        vmask = [0] * n
+        for j, f in enumerate(ordered):
+            for v in f:
+                vmask[v] |= 1 << j
+        keep = []
+        for j, f in enumerate(ordered):
+            m = vmask[f[0]]
+            for v in f[1:]:
+                m &= vmask[v]
+            if m == (1 << j):
+                keep.append(f)
+        self.facets = tuple(keep)
+        self._vmask = [0] * n
+        for j, f in enumerate(self.facets):
+            for v in f:
+                self._vmask[v] |= 1 << j
+
+    def contains(self, face: Sequence[int]) -> bool:
+        face = tuple(sorted(set(face)))
+        if not face:
+            return True
+        if face[0] < 0 or face[-1] >= len(self.labels):
+            return False
+        m = self._vmask[face[0]]
+        for v in face[1:]:
+            m &= self._vmask[v]
+        return m != 0
+
+    def cofacet_vertices(self, face: Sequence[int]) -> int:
+        n = len(self.labels)
+        m = (1 << len(self.facets)) - 1
+        own = 0
+        for v in face:
+            if not 0 <= v < n:
+                return 0
+            m &= self._vmask[v]
+            own |= 1 << v
+        out = 0
+        for j, f in enumerate(self.facets):
+            if m >> j & 1:
+                out |= sum(1 << v for v in f)
+        return out & ~own
+
+    def collapse(self, steps: Iterable[Tuple[Sequence[int], Optional[Sequence[int]]]]
+                 ) -> "BitmaskComplex":
+        n = len(self.labels)
+        owners: List[Set[Face]] = [set() for _ in range(n)]
+        for f in self.facets:
+            for v in f:
+                owners[v].add(f)
+
+        def holders(face: Sequence[int]) -> Set[Face]:
+            sets = sorted((owners[v] for v in face), key=len)
+            return sets[0].intersection(*sets[1:])
+
+        for face, facet in steps:
+            face = tuple(sorted(set(face)))
+            if not face or face[0] < 0 or face[-1] >= n:
+                raise InvalidArgumentError(f"face {face} is empty or has a vertex out of range")
+            found = holders(face)
+            if facet is None:
+                if len(found) != 1:
+                    raise PreconditionError(
+                        f"face {face} should have a unique facet, found {len(found)}")
+                facet = next(iter(found))
+            facet = tuple(sorted(set(facet)))
+            if not set(face) < set(facet):
+                raise InvalidArgumentError(f"{face} is not a proper nonempty subset of {facet}")
+            if found != {facet}:
+                raise PreconditionError(f"{face} is not a free face of {facet}")
+            for v in facet:
+                owners[v].discard(facet)
+            for s in face:
+                rest = tuple(v for v in facet if v != s)
+                if not holders(rest):
+                    for v in rest:
+                        owners[v].add(rest)
+        return BitmaskComplex(self.labels, {f for fs in owners for f in fs})
 
 
 def zero_matrix(nrows: int, ncols: int) -> Gf2Matrix:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -108,6 +109,16 @@ def test_resource_limit_exit_three(capsys):
                         "--max-faces", "2")
     assert code == 3
     assert "resource" in err.lower()
+
+
+def test_max_dim_over_the_budget_exits_three_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = _run(capsys, "compute", "homology", "--graph", "k3",
+                          "--max-dim", "1000000000")
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    assert out == ""
+    assert "over the face budget" in err
 
 
 def test_hom_order_complex_over_budget_exits_three(capsys):

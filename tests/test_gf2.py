@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -147,6 +148,18 @@ def test_betti_relabeling_invariance():
     rng.shuffle(perm)
     D = Complex(C.labels, [[perm[v] for v in f] for f in C.facets])
     assert betti_bounded(D, D.dim).betti == base
+
+
+def test_dimensions_above_the_complex_cost_nothing():
+    C = neighborhood_complex(complete_graph(3))  # a 3-cycle: dim 1
+    start = time.perf_counter()
+    bt = betti_bounded(C, 10**6)
+    assert time.perf_counter() - start < 2
+    assert bt.max_verified_dim == 10**6
+    assert bt.betti[:2] == (1, 1) and not any(bt.betti[2:])
+    # a table of zeros longer than the budget is refused, not built
+    with pytest.raises(ResourceLimitError, match="max dim 1000000 is over the face budget 999999"):
+        betti_bounded(C, 10**6, max_faces=999_999)
 
 
 def test_betti_bounded_truncates_honestly():

@@ -41,6 +41,10 @@ PINNED_COMMANDS = {
     "compute-exp-3-2.json": ["compute", "homology", "--exp", "3", "2", "--max-dim", "2"],
     "compute-hom-k2-k6.json": ["compute", "hom", "--g", "k2", "--h", "k6"],
     "compute-c9.csv": ["compute", "homology", "--graph", "c9", "--format", "csv"],
+    "compute-k3-max-dim-5.csv": ["compute", "homology", "--graph", "k3", "--max-dim", "5",
+                                 "--format", "csv"],
+    "compute-k4-max-faces-24.csv": ["compute", "homology", "--graph", "k4",
+                                    "--max-faces", "24", "--format", "csv"],
 }
 
 
@@ -48,6 +52,15 @@ PINNED_COMMANDS = {
 def test_stdout_matches_pinned_bytes(capsys, pinned):
     assert main(PINNED_COMMANDS[pinned]) == 0
     assert capsys.readouterr().out == (PINNED / pinned).read_text(encoding="utf-8")
+
+
+def test_budget_below_any_verified_dimension_pinned(capsys):
+    # NC(K4) needs 12 vertex and 12 edge estimates to verify dimension 0.
+    assert main(["compute", "homology", "--graph", "k4", "--max-faces", "23",
+                 "--format", "csv"]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "resource limit: face budget 23 too small to verify any dimension\n"
 
 
 def test_report_crosscheck_names_n4(timed_report4):

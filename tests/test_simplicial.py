@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from expmorse.complexes import (Complex, _free_family_steps, build_delta,
 from expmorse.errors import (InvalidArgumentError, PreconditionError,
                              ResourceLimitError)
 from expmorse.graphs import complete_graph, cycle_graph
+from oracles import BitmaskComplex
 
 
 def _brute_faces(C: Complex):
@@ -182,6 +184,56 @@ def test_collapse_matches_definition_on_random_complexes():
         assert got == want, (C.facets, steps)
         seen.add(got if isinstance(got, type) else Complex)
     assert seen == {Complex, InvalidArgumentError, PreconditionError}
+
+
+def _collapsed(C, steps):
+    """The facets a collapse leaves, or the exception it raises, as (type, message)."""
+    try:
+        return C.collapse(steps).facets
+    except (InvalidArgumentError, PreconditionError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150)
+@given(st.lists(st.lists(st.integers(0, 7), max_size=6), max_size=7),
+       st.lists(st.lists(st.integers(-1, 8), max_size=4), max_size=6),
+       st.integers(0, 2**32))
+def test_facet_index_against_bitmask_oracle(facets, queries, seed):
+    # The oracle indexes facets by dense per-vertex bitmasks, so it shares no
+    # code with the facet-id sets that `Complex` answers every query from.
+    labels = [str(i) for i in range(8)]
+    rng = random.Random(seed)
+    if rng.random() < 0.1:
+        facets = facets + [[rng.choice([-1, 8])] + facets[0] if facets else [-1]]
+    try:
+        C = Complex(labels, facets)
+    except InvalidArgumentError as exc:
+        with pytest.raises(InvalidArgumentError, match=re.escape(str(exc))):
+            BitmaskComplex(labels, facets)
+        return
+    O = BitmaskComplex(labels, facets)
+    assert C.facets == O.facets
+    for face in [()] + sorted(_brute_faces(C)) + [tuple(q) for q in queries]:
+        assert C.contains(face) == O.contains(face), face
+        assert C.cofacet_vertices(face) == O.cofacet_vertices(face), face
+    # a chain of up to four steps, each drawn from the oracle's complex as it stands
+    steps, state = [], O
+    while state is not None and len(steps) < 4:
+        if state.facets and rng.random() < 0.9:
+            facet = list(rng.choice(state.facets))
+        else:
+            facet = rng.sample(range(-1, 9), rng.randint(1, 5))
+        if rng.random() < 0.85:  # a proper nonempty subset where there is one
+            face = rng.sample(facet, rng.randint(1, max(1, len(facet) - 1)))
+        else:
+            face = rng.sample(facet, rng.randint(0, len(facet)))
+        steps.append((face, None if rng.random() < 0.3 else facet))
+        try:
+            state = state.collapse(steps[-1:])
+        except (InvalidArgumentError, PreconditionError):
+            state = None
+    for i in range(1, len(steps) + 1):  # every prefix: the complexes left and the failure
+        assert _collapsed(C, steps[:i]) == _collapsed(O, steps[:i]), steps[:i]
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
