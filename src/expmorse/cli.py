@@ -75,6 +75,16 @@ def _betti_csv(bt: BettiTable) -> str:
     return "\n".join(out) + "\n"
 
 
+def _emit_betti(C: Complex, args: argparse.Namespace) -> None:
+    """Betti numbers up to --max-dim (default: the complex's dimension) under --max-faces."""
+    maxdim = args.max_dim if args.max_dim is not None else max(C.dim, 0)
+    bt = betti_bounded(C, maxdim, max_faces=args.max_faces)
+    if args.format == "csv":
+        sys.stdout.write(_betti_csv(bt))
+    else:
+        _emit_json(bt.to_json_dict())
+
+
 def _report_csv(d: dict) -> str:
     out = ["key,value"]
     for key, val in d.items():
@@ -141,24 +151,12 @@ def cmd_compute(args: argparse.Namespace) -> int:
         else:
             _emit_json(complex_to_json(NC))
     elif args.what == "homology":
-        NC = neighborhood_complex(_graph_from(args))
-        maxdim = args.max_dim if args.max_dim is not None else max(NC.dim, 0)
-        bt = betti_bounded(NC, maxdim, max_faces=args.max_faces)
-        if args.format == "csv":
-            sys.stdout.write(_betti_csv(bt))
-        else:
-            _emit_json(bt.to_json_dict())
+        _emit_betti(neighborhood_complex(_graph_from(args)), args)
     elif args.what == "hom":
         if not args.g or not args.h:
             raise InvalidArgumentError("hom needs --g and --h")
         cells = enumerate_hom_cells(_atom(args.g), _atom(args.h))
-        OC = order_complex_of_hom(cells, max_faces=args.max_faces)
-        maxdim = args.max_dim if args.max_dim is not None else max(OC.dim, 0)
-        bt = betti_bounded(OC, maxdim, max_faces=args.max_faces)
-        if args.format == "csv":
-            sys.stdout.write(_betti_csv(bt))
-        else:
-            _emit_json(bt.to_json_dict())
+        _emit_betti(order_complex_of_hom(cells, max_faces=args.max_faces), args)
     else:
         raise InvalidArgumentError(f"unknown compute target {args.what!r}")
     return EXIT_OK

@@ -166,7 +166,8 @@ def betti_bounded(C: Complex, maxdim: int, max_faces: int = DEFAULT_MAX_FACES) -
     if v > max_faces:  # then v = maxdim > C.dim: a table of zeros longer than the budget
         raise ResourceLimitError(
             f"max dim {maxdim} is over the face budget {max_faces}", bound=max_faces)
-    levels = C.faces_by_dim(min(v, top), max_faces)
+    # dims 0..v fit the budget (checked above), so the listing needs no check of its own
+    levels = [list(C.iter_faces_of_dim(d)) for d in range(min(v, top) + 1)]
     ranks = [0] * (len(levels) + 1)
     cobound = v <= top and spent[v + 1] > spent[v]  # rank the next boundary by its transpose
     cleared = 0  # faces of level v whose boundary column stays nonzero

@@ -2,8 +2,8 @@
 
 A matching pairs a cell with a cofacet; acyclic matchings induce a chain
 complex on the critical cells whose boundary entries count alternating
-descent paths mod 2. Parities are computed by memoized traversal of the
-descent relation.
+descent paths mod 2. One memoized walk of the descent relation computes
+those parities and certifies that the matching is acyclic.
 """
 from __future__ import annotations
 
@@ -39,10 +39,9 @@ def _subfaces(cell: Face) -> List[Face]:
 class FacePoset:
     """All nonempty faces of a complex, grouped by dimension."""
 
-    __slots__ = ("labels", "cells_by_dim", "_all")
+    __slots__ = ("cells_by_dim", "_all")
 
-    def __init__(self, labels: Sequence[str], cells_by_dim: Sequence[Sequence[Face]]):
-        self.labels = tuple(labels)
+    def __init__(self, cells_by_dim: Sequence[Sequence[Face]]):
         self.cells_by_dim = tuple(tuple(level) for level in cells_by_dim)
         self._all = frozenset(c for level in self.cells_by_dim for c in level)
 
@@ -66,7 +65,7 @@ class FacePoset:
 
 def face_poset(C: Complex) -> FacePoset:
     """Materialize every face of the complex, under `faces_by_dim`'s default face budget."""
-    return FacePoset(C.labels, C.faces_by_dim(C.dim))
+    return FacePoset(C.faces_by_dim(C.dim))
 
 
 class Matching:
@@ -121,52 +120,6 @@ class AcyclicityResult:
     cycle: Optional[Tuple[Face, ...]] = None
 
 
-def is_acyclic(P: FacePoset, M: Matching) -> AcyclicityResult:
-    """Check the matched digraph (up along pairs, down to other facets) for cycles.
-
-    A directed cycle must alternate up and down moves through matched pairs,
-    so it suffices to search the induced graph on lower cells. On failure the
-    full alternating cell cycle is returned.
-    """
-    pairs = M.pairs
-    color: Dict[Face, int] = {}
-    parent: Dict[Face, Face] = {}
-    for root in pairs:
-        if color.get(root):
-            continue
-        stack: List[Tuple[Face, int]] = [(root, 0)]
-        while stack:
-            x, adv = stack.pop()
-            if adv == 0:
-                if color.get(x) == 2:
-                    continue
-                color[x] = 1
-            succs = [y for y in _subfaces(pairs[x]) if y != x and y in pairs]
-            if adv < len(succs):
-                stack.append((x, adv + 1))
-                y = succs[adv]
-                st = color.get(y, 0)
-                if st == 1:
-                    cycle = [y]
-                    cur = x
-                    while cur != y:
-                        cycle.append(cur)
-                        cur = parent[cur]
-                    cycle.append(y)
-                    cycle.reverse()
-                    full: List[Face] = []
-                    for z in cycle[:-1]:
-                        full.extend((z, pairs[z]))
-                    full.append(cycle[0])
-                    return AcyclicityResult(False, tuple(full))
-                if st == 0:
-                    parent[y] = x
-                    stack.append((y, 0))
-            else:
-                color[x] = 2
-    return AcyclicityResult(True, None)
-
-
 @dataclass(frozen=True)
 class CriticalSet:
     """Unmatched cells per dimension, each level in lexicographic order."""
@@ -194,46 +147,64 @@ def critical_cells(P: FacePoset, M: Matching) -> CriticalSet:
 
 def _descent_walk(M: Matching, leaf: Callable[[Face], T],
                   combine: Callable[[List[T]], T]) -> Callable[[Face], T]:
-    """Memoized post-order walk down the descent relation of an acyclic matching.
+    """Memoized post-order walk down the descent relation of a matching.
 
     The value of a cell with no cofacet partner is leaf(cell); a matched
     lower cell x combines the values of the other facets of its partner.
-    Iterative, so path length is not bounded by the recursion limit.
+    Iterative, so path length is not bounded by the recursion limit: the
+    walk keeps the path it is expanding as (cell, kids) frames and descends
+    into one missing kid at a time. Meeting a cell on that path again closes
+    a cycle, so the matching is cyclic; the InternalConsistencyError raised
+    then carries the alternating cycle (lower, upper, ..., the first lower
+    again) as its `cycle` attribute.
     """
     pairs = M.pairs
     memo: Dict[Face, T] = {}
 
     def value(cell: Face) -> T:
-        if cell in memo:
-            return memo[cell]
-        expanding: Set[Face] = set()
-        stack = [cell]
-        while stack:
-            x = stack[-1]
-            if x in memo:
-                expanding.discard(x)
-                stack.pop()
-                continue
-            up = pairs.get(x)
-            if up is None:
-                memo[x] = leaf(x)
-                stack.pop()
-                continue
-            kids = [y for y in _subfaces(up) if y != x]
-            missing = [y for y in kids if y not in memo]
-            if missing:
-                if x in expanding:
-                    raise InternalConsistencyError(
+        path: List[Tuple[Face, List[Face]]] = []
+        depth: Dict[Face, int] = {}  # cell -> its frame on the path
+        x: Optional[Face] = cell
+        while True:
+            if x is not None and x not in memo:
+                up = pairs.get(x)
+                if up is None:
+                    memo[x] = leaf(x)
+                elif x in depth:
+                    err = InternalConsistencyError(
                         f"descent from {x} depends on itself; matching is cyclic")
-                expanding.add(x)
-                stack.extend(missing)
-                continue
-            memo[x] = combine([memo[y] for y in kids])
-            expanding.discard(x)
-            stack.pop()
-        return memo[cell]
+                    loop = [z for z, _ in path[depth[x]:]]
+                    err.cycle = tuple(c for z in loop for c in (z, pairs[z])) + (x,)
+                    raise err
+                else:
+                    depth[x] = len(path)
+                    path.append((x, [y for y in _subfaces(up) if y != x]))
+            if not path:
+                return memo[cell]
+            top, kids = path[-1]
+            x = next((y for y in kids if y not in memo), None)
+            if x is None:
+                memo[top] = combine([memo[y] for y in kids])
+                del depth[top]
+                path.pop()
 
     return value
+
+
+def is_acyclic(M: Matching) -> AcyclicityResult:
+    """Check the matched digraph (up along pairs, down to other facets) for cycles.
+
+    A directed cycle must alternate up and down moves through matched pairs,
+    so it suffices to walk the descent relation from every matched lower
+    cell. On failure the full alternating cell cycle is returned.
+    """
+    walk = _descent_walk(M, lambda x: None, lambda kids: None)
+    try:
+        for x in M.pairs:
+            walk(x)
+    except InternalConsistencyError as exc:
+        return AcyclicityResult(False, exc.cycle)
+    return AcyclicityResult(True, None)
 
 
 def _xor(supports: List[FrozenSet[Face]]) -> FrozenSet[Face]:

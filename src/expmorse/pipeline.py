@@ -134,7 +134,7 @@ def _descent(n: int) -> DescentCache:
 
 @lru_cache(maxsize=None)
 def _acyclicity(n: int) -> AcyclicityResult:
-    return is_acyclic(delta_poset(n), build_matching_mu(n))
+    return is_acyclic(build_matching_mu(n))
 
 
 @lru_cache(maxsize=None)
@@ -199,7 +199,7 @@ def _injective_triangles(crit: CriticalSet, n: int) -> Tuple[Face, ...]:
 
 
 @lru_cache(maxsize=None)
-def _incidence(n: int) -> Tuple[Gf2Matrix, Tuple[Face, ...], Tuple[Face, ...]]:
+def _incidence(n: int) -> Gf2Matrix:
     """Alternating-path incidence between critical 2-cells and critical 1-cells.
 
     Rows follow the transposition ordering; columns are the critical
@@ -226,17 +226,17 @@ def _incidence(n: int) -> Tuple[Gf2Matrix, Tuple[Face, ...], Tuple[Face, ...]]:
         for s in support:
             bits |= 1 << rowpos[s]
         colbits.append(bits)
-    return Gf2Matrix(colbits, len(rows)), rows, cols
+    return Gf2Matrix(colbits, len(rows))
 
 
 def incidence_matrix_A(n: int) -> Gf2Matrix:
     """Rows: critical 1-cells in transposition order; columns: critical triangles."""
-    return _incidence(n)[0]
+    return _incidence(n)
 
 
 @lru_cache(maxsize=None)
 def _incidence_rank(n: int) -> int:
-    return rank_gf2(_incidence(n)[0])
+    return rank_gf2(_incidence(n))
 
 
 def _two_path_targets(n: int, tau: Face) -> Optional[Set[Face]]:
@@ -475,7 +475,7 @@ def _check_trichotomy(n: int) -> bool:
 
 def _check_incidence(n: int) -> List[Tuple[str, bool]]:
     try:
-        A = _incidence(n)[0]
+        A = _incidence(n)
     except LemmaViolationError:
         return [("column-weight-two", False)]
     return [("column-weight-two", True),

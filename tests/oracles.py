@@ -2,17 +2,18 @@
 
 The program never calls these. They are written plainly, so that a test
 compares a fast route with a direct one: a complex indexed by dense
-per-vertex facet bitmasks, whole boundary matrices, an exhaustive path
-enumerator, and the path parity it implies.
+per-vertex facet bitmasks, whole boundary matrices, a colour-marking DFS for
+cycles of a matching, an exhaustive path enumerator, and the path parity it
+implies.
 """
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from expmorse.complexes import Complex, Face
 from expmorse.errors import InvalidArgumentError, PreconditionError, ResourceLimitError
 from expmorse.gf2 import Gf2Matrix
-from expmorse.morse import DescentCache, Matching
+from expmorse.morse import AcyclicityResult, DescentCache, Matching
 
 
 class BitmaskComplex:
@@ -135,6 +136,52 @@ def boundary_matrix(C: Complex, k: int) -> Gf2Matrix:
     row = {f: i for i, f in enumerate(levels[k - 1])}
     return Gf2Matrix([sum(1 << row[s] for s in _subfaces(face)) for face in levels[k]],
                      len(row))
+
+
+def dfs_acyclicity(M: Matching) -> AcyclicityResult:
+    """Cycle search on the matched lower cells by an iterative colour-marking DFS.
+
+    The edges are x -> y for the other facets y of pairs[x] that are matched
+    lower cells; a grey successor closes a cycle, read back through the
+    parent map and written out as alternating lower and upper cells.
+    """
+    pairs = M.pairs
+    color: Dict[Face, int] = {}
+    parent: Dict[Face, Face] = {}
+    for root in pairs:
+        if color.get(root):
+            continue
+        stack: List[Tuple[Face, int]] = [(root, 0)]
+        while stack:
+            x, adv = stack.pop()
+            if adv == 0:
+                if color.get(x) == 2:
+                    continue
+                color[x] = 1
+            succs = [y for y in _subfaces(pairs[x]) if y != x and y in pairs]
+            if adv < len(succs):
+                stack.append((x, adv + 1))
+                y = succs[adv]
+                st = color.get(y, 0)
+                if st == 1:
+                    cycle = [y]
+                    cur = x
+                    while cur != y:
+                        cycle.append(cur)
+                        cur = parent[cur]
+                    cycle.append(y)
+                    cycle.reverse()
+                    full: List[Face] = []
+                    for z in cycle[:-1]:
+                        full.extend((z, pairs[z]))
+                    full.append(cycle[0])
+                    return AcyclicityResult(False, tuple(full))
+                if st == 0:
+                    parent[y] = x
+                    stack.append((y, 0))
+            else:
+                color[x] = 2
+    return AcyclicityResult(True, None)
 
 
 def alternating_path_parity(M: Matching, tau: Face, sigma: Face,

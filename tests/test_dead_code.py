@@ -1,0 +1,57 @@
+"""Dead-code checks on the package source, written with the stdlib `ast`.
+
+No linter is installed, so these two checks stand in for one: every import
+of a module is used in that module or re-exported through its `__all__` (the
+package's `__init__` imports only to re-export), and every module-level
+private function is referenced somewhere in the package.
+"""
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+from typing import Dict, Set
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "expmorse"
+TREES: Dict[str, ast.Module] = {
+    p.name: ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
+    for p in sorted(SRC.glob("*.py"))}
+
+
+def _names_used(tree: ast.Module) -> Set[str]:
+    """Every identifier read in the module: bare names, attributes, `__all__` entries."""
+    used: Set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used.update(e.value for e in ast.walk(node.value) if isinstance(e, ast.Constant))
+    return used
+
+
+def test_every_import_is_used():
+    unused = []
+    for name, tree in TREES.items():
+        if name == "__init__.py":
+            continue
+        used = _names_used(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in used:
+                        unused.append(f"{name}:{node.lineno} {bound}")
+    assert unused == []
+
+
+def test_every_private_function_is_referenced():
+    used = set().union(*map(_names_used, TREES.values()))
+    unreferenced = [f"{name}:{node.lineno} {node.name}"
+                    for name, tree in TREES.items() for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+                    and node.name not in used]
+    assert unreferenced == []

@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from expmorse.complexes import Complex, build_delta, neighborhood_complex
 from expmorse.errors import InternalConsistencyError, InvalidArgumentError
@@ -12,7 +14,7 @@ from expmorse.graphs import cycle_graph
 from expmorse.morse import (DescentCache, FacePoset, Matching, critical_cells,
                             face_poset, is_acyclic, morse_boundaries, path_cells,
                             validate_matching)
-from oracles import alternating_path_parity, enumerate_alternating_paths
+from oracles import alternating_path_parity, dfs_acyclicity, enumerate_alternating_paths
 
 SQUARE = Complex(list("abcd"), [(0, 1), (1, 2), (2, 3), (0, 3)])
 CYCLIC_MATCHING = Matching({(0,): (0, 1), (1,): (1, 2), (2,): (2, 3), (3,): (0, 3)})
@@ -42,8 +44,7 @@ def test_matching_reverse_rejects_duplicate_upper():
 
 
 def test_cyclic_fixture_rejected_with_explicit_cycle():
-    P = face_poset(SQUARE)
-    res = is_acyclic(P, CYCLIC_MATCHING)
+    res = is_acyclic(CYCLIC_MATCHING)
     assert not res.acyclic
     cyc = res.cycle
     assert cyc[0] == cyc[-1] and len(cyc) >= 5 and len(cyc) % 2 == 1
@@ -65,7 +66,7 @@ def test_breaking_the_cycle_restores_acyclicity():
     pairs = dict(CYCLIC_MATCHING.pairs)
     del pairs[(3,)]
     M = Matching(pairs)
-    assert is_acyclic(P, M).acyclic
+    assert is_acyclic(M).acyclic
     crit = critical_cells(P, M)
     assert crit.counts == (1, 1)
     chain = morse_boundaries(P, M)
@@ -94,10 +95,72 @@ def _random_acyclic_matching(P: FacePoset, rng: random.Random) -> Matching:
             continue
         trial = dict(pairs)
         trial[low] = up
-        if is_acyclic(P, Matching(trial)).acyclic:
+        if is_acyclic(Matching(trial)).acyclic:
             pairs = trial
             used.update((low, up))
     return Matching(pairs)
+
+
+@st.composite
+def _drawn_matchings(draw) -> Matching:
+    """A matching on a small complex from a drawn prefix of its cover relations, shuffled.
+
+    A relation in the prefix is paired when neither of its cells is paired
+    yet; nothing filters out cyclic matchings.
+    """
+    facets = draw(st.lists(st.sets(st.integers(0, 5), min_size=2, max_size=4),
+                           min_size=2, max_size=7))
+    P = face_poset(Complex([str(i) for i in range(6)], facets))
+    cover = [(low, up)
+             for d in range(P.dim)
+             for up in P.cells(d + 1)
+             for low in itertools.combinations(up, d + 1)]
+    order = draw(st.permutations(cover))
+    pairs, used = {}, set()
+    for low, up in order[:draw(st.integers(0, len(cover)))]:
+        if low not in used and up not in used:
+            pairs[low] = up
+            used.update((low, up))
+    return Matching(pairs)
+
+
+def _is_alternating_cycle(M: Matching, cyc) -> bool:
+    """Lower, upper, lower, ..., the first lower again: up through pairs, down to other facets."""
+    if cyc[0] != cyc[-1] or len(cyc) < 5 or len(cyc) % 2 == 0:
+        return False
+    for low, up, nxt in zip(cyc[::2], cyc[1::2], cyc[2::2]):
+        if M.pairs.get(low) != up:
+            return False
+        if nxt == low or len(nxt) + 1 != len(up) or not set(nxt) < set(up):
+            return False
+    return True
+
+
+def test_descent_walk_cycles_against_dfs_oracle():
+    drawn = {True: 0, False: 0}  # acyclic -> examples
+
+    @settings(max_examples=200)
+    @given(_drawn_matchings())
+    def check(M):
+        res = is_acyclic(M)
+        assert res.acyclic == dfs_acyclicity(M).acyclic
+        cache = DescentCache(M)
+        raised = set()
+        for x in M.pairs:
+            try:
+                cache.sets(x)
+            except InternalConsistencyError:
+                raised.add(x)
+        if res.acyclic:
+            assert res.cycle is None and not raised
+        else:
+            assert _is_alternating_cycle(M, res.cycle), res.cycle
+            assert set(res.cycle[::2]) <= raised
+        drawn[res.acyclic] += 1
+
+    check()
+    print(f"\n{drawn[False]} cyclic and {drawn[True]} acyclic matchings drawn")
+    assert drawn[False] >= 20 and drawn[True] >= 20
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -20,7 +20,7 @@ def test_matching_is_valid_and_acyclic(n):
     P = delta_poset(n)
     M = build_matching_mu(n)
     assert validate_matching(P, M) == []
-    assert is_acyclic(P, M).acyclic
+    assert is_acyclic(M).acyclic
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
