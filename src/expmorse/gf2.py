@@ -3,18 +3,20 @@
 Vectors are Python ints (bit i = coordinate i), and a matrix is its list of
 columns, so adding one column to another is one big-int XOR. Rank is
 incremental: vectors are reduced one at a time against a pivot basis keyed
-by leading bit. Brute-force Betti numbers list the faces of every dimension
-they verify and reduce those boundaries this way. The boundary one
-dimension higher, whose faces are never listed, is ranked through its
-transpose, the coboundary: faces already paired one level down are skipped,
-and a column is built only where two pivots collide.
+by leading bit. Brute-force Betti numbers reduce ∂₁ this way, since its
+columns have one bit per vertex. Every boundary above it, up to the one
+whose faces are never listed, is ranked through its transpose, the
+coboundary, one level at a time: faces paired one level down are skipped,
+the pivots found are the faces the next level skips, and a column is built
+only where two pivots collide.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import accumulate
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (AbstractSet, Dict, Iterable, Iterator, List, Optional, Sequence, Set,
+                    Tuple, Union)
 
 from .complexes import DEFAULT_MAX_FACES, Complex, Face
 from .errors import InvalidArgumentError, InvalidChainError, ResourceLimitError
@@ -106,14 +108,6 @@ def rank_gf2(M: Gf2Matrix) -> int:
     return M.rank()
 
 
-def _column_bits(face: Face, lower_index: Dict[Face, int]) -> int:
-    c = 0
-    for t in range(len(face)):
-        sub = face[:t] + face[t + 1:]
-        c |= 1 << lower_index[sub]
-    return c
-
-
 @dataclass(frozen=True)
 class BettiTable:
     """Z2 Betti numbers for dimensions 0..max_verified_dim; nothing is claimed beyond."""
@@ -145,11 +139,14 @@ def betti_bounded(C: Complex, maxdim: int, max_faces: int = DEFAULT_MAX_FACES) -
     """Brute-force Z2 Betti numbers of dimensions 0..maxdim.
 
     The verified dimension v is the largest d <= maxdim whose face estimates
-    for dimensions 0..d+1 fit the budget. Faces of dimensions 0..v are listed
-    and their boundaries reduced in lex order; the next boundary, whose faces
-    are never listed, is ranked through its transpose (`_coboundary_rank`).
-    Dimensions above `C.dim` cost nothing and have Betti number 0, but a
-    maxdim above the budget itself is refused.
+    for dimensions 0..d+1 fit the budget. Faces of dimensions 0..v are
+    listed. ∂₁, whose columns have one bit per vertex, is reduced densely in
+    lex order. Every boundary above it, up to ∂_{v+1} whose faces are never
+    listed, is ranked through its transpose (`_reduce_coboundary`), one level
+    at a time: each level skips the faces paired one level below, and its
+    pivots are the faces the next level skips. Dimensions above `C.dim` cost
+    nothing and have Betti number 0, but a maxdim above the budget itself is
+    refused.
     """
     if maxdim < 0:
         raise InvalidArgumentError("maxdim must be nonnegative")
@@ -169,44 +166,55 @@ def betti_bounded(C: Complex, maxdim: int, max_faces: int = DEFAULT_MAX_FACES) -
     # dims 0..v fit the budget (checked above), so the listing needs no check of its own
     levels = [list(C.iter_faces_of_dim(d)) for d in range(min(v, top) + 1)]
     ranks = [0] * (len(levels) + 1)
-    cobound = v <= top and spent[v + 1] > spent[v]  # rank the next boundary by its transpose
-    cleared = 0  # faces of level v whose boundary column stays nonzero
-    for k in range(1, len(levels)):
-        lower_index = {f: i for i, f in enumerate(levels[k - 1])}
-        for j in _independent(_column_bits(face, lower_index) for face in levels[k]):
-            ranks[k] += 1
-            if cobound and k == v:
-                cleared |= 1 << j
-    if cobound:
-        ranks[v + 1] = _coboundary_rank(C, levels[v], cleared)
+    base = C.vertex_count
+    paired: Set[int] = set()  # codes of level k's faces paired one level down
+    if len(levels) > 1:  # ∂₁ has one row per vertex, so its dense reduction is cheap
+        edges = levels[1]
+        paired = {edges[j][0] * base + edges[j][1]
+                  for j in _independent(1 << a | 1 << b for a, b in edges)}
+        ranks[1] = len(paired)
+    # ∂_{k+1} for each listed level k from 1 (from 0 if only vertices are listed);
+    # the last level's coboundary is ranked only if the dimension above has faces
+    streamed = v <= top and spent[v + 1] > spent[v]
+    last = len(levels) - 1 if streamed else len(levels) - 2
+    for k in range(min(1, len(levels) - 1), last + 1):
+        pivots = _reduce_coboundary(C, levels[k], paired)
+        ranks[k + 1] = len(pivots)
+        if k < last:  # the next level's skip set; the top needs none
+            paired = set(pivots)
 
     betti = tuple(len(levels[k]) - ranks[k] - ranks[k + 1] for k in range(len(levels)))
     return BettiTable(betti + (0,) * (v + 1 - len(betti)), "bruteforce", v)
 
 
-def _coboundary_rank(C: Complex, faces: List[Face], cleared: int) -> int:
-    """Rank of the coboundary on `faces` (every face of one dimension, in lex order).
+def _reduce_coboundary(C: Complex, faces: List[Face],
+                       skip: AbstractSet[int]) -> Dict[int, Union[Face, List[int]]]:
+    """The reduced coboundary on `faces` (every face of one dimension, in lex order).
 
-    That is the rank of the boundary one dimension up, found without listing
-    the faces there. Columns are reduced in reverse lex order with the
-    lex-least cofacet as pivot; homology and cohomology then pair the same
-    faces (de Silva, Morozov & Vejdemo-Johansson, 2011), so a face whose
-    boundary column stayed nonzero (bit i of `cleared` for faces[i]) has a
-    coboundary column that reduces to zero and is skipped (clearing; Chen &
-    Kerber, 2011). As in Bauer's Ripser (2021), a column whose pivot is
-    unclaimed is kept as its face alone; a column is built only on a
-    collision, as the ascending codes of its cofacets (a code reads the
-    vertices as base-V digits, so codes order faces as lex order does), and
+    Returns the nonzero reduced columns keyed by their pivots, so its size is
+    the rank of the boundary one dimension up and its keys are the codes of
+    the faces there paired with these. A face's code reads its vertices as
+    base-V digits, so codes order faces as lex order does. Columns are
+    reduced in reverse lex order with the lex-least cofacet as pivot;
+    homology and cohomology then pair the same faces (de Silva, Morozov &
+    Vejdemo-Johansson, 2011), so a face whose code is in `skip` (one paired
+    one level down) has a coboundary column that reduces to zero and is
+    skipped (clearing; Chen & Kerber, 2011). As in Bauer's Ripser (2021), a
+    column whose pivot is unclaimed is kept as its face alone; a column is
+    built only on a collision, as the ascending codes of its cofacets, and
     reduced in a heap where equal codes cancel in pairs.
     """
     base, k = C.vertex_count, len(faces[0])
     powers = [base ** i for i in range(k + 1)]
 
-    def cofaces(face: Face, m: int) -> List[int]:
-        """Codes of face + (v,) for the vertices v in the mask m, ascending."""
+    def code(face: Face) -> int:
         c = 0
         for x in face:
             c = c * base + x
+        return c
+
+    def cofaces(face: Face, c: int, m: int) -> List[int]:
+        """Codes of face + (v,) for the vertices v in the mask m, ascending; c is face's code."""
         out = []
         pos = 0
         while m:
@@ -220,33 +228,32 @@ def _coboundary_rank(C: Complex, faces: List[Face], cleared: int) -> int:
         return out
 
     owner: Dict[int, Union[Face, List[int]]] = {}  # pivot -> its face, or its reduced column
-    rank = 0
-    skip = format(cleared, f"0{len(faces)}b")  # skip[i] is the bit of faces[-1 - i]
-    for face, bit in zip(reversed(faces), skip):
-        m = C.cofacet_vertices(face) if bit == "0" else 0
+    for face in reversed(faces):
+        c = code(face)
+        if c in skip:
+            continue
+        m = C.cofacet_vertices(face)
         if not m:
             continue
-        pivot = cofaces(face, m & -m)[0]
+        pivot = cofaces(face, c, m & -m)[0]
         held = owner.get(pivot)
         if held is None:
             owner[pivot] = face
-            rank += 1
             continue
-        work = cofaces(face, m)  # ascending, so already a heap
+        work = cofaces(face, c, m)  # ascending, so already a heap
         heappop(work)
         while held is not None:
             if isinstance(held, tuple):
-                held = owner[pivot] = cofaces(held, C.cofacet_vertices(held))
-            for c in held[1:]:
-                heappush(work, c)
+                held = owner[pivot] = cofaces(held, code(held), C.cofacet_vertices(held))
+            for x in held[1:]:
+                heappush(work, x)
             pivot = _pop_pivot(work)
             if pivot is None:
                 break
             held = owner.get(pivot)
         else:
             owner[pivot] = [pivot] + _odd_entries(work)
-            rank += 1
-    return rank
+    return owner
 
 
 def _pop_pivot(heap: List[int]) -> Optional[int]:
