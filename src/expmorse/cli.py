@@ -1,5 +1,10 @@
 """Command-line surface: reproduce reports, verify structure, compute objects.
 
+`reproduce --n N` reports Theorem 1 for K_{N+1}^{K_N}; with `--m M` it
+classifies the core of K_M^{K_N} instead. Each `compute` target is its own
+subcommand and declares only the flags it reads (a graph source, a graph
+pair, bounds, `--format`), so any other flag is an argparse error.
+
 Exit codes: 0 success, 1 verification mismatch, 2 invalid arguments,
 3 resource limit. All diagnostic output goes to stderr; results to stdout.
 """
@@ -45,16 +50,18 @@ def _atom(spec: str) -> Graph:
 
 
 def _graph_from(args: argparse.Namespace) -> Graph:
+    """The graph named by --graph, or the core of K_M^{K_N} for --exp M N."""
     if args.exp is not None:
-        a, b = args.exp
-        return fold_core_exponential(a, b)
-    if args.graph:
-        return _atom(args.graph)
-    raise InvalidArgumentError("need --graph or --exp")
+        return fold_core_exponential(*args.exp)
+    return _atom(args.graph)
 
 
-def _emit_json(obj: dict) -> None:
-    sys.stdout.write(json.dumps(obj, indent=2) + "\n")
+def _emit(args: argparse.Namespace, obj, csv, to_json) -> None:
+    """Write obj to stdout as --format asks: csv(obj), or to_json(obj) as JSON."""
+    if args.format == "csv":
+        sys.stdout.write(csv(obj))
+    else:
+        sys.stdout.write(json.dumps(to_json(obj), indent=2) + "\n")
 
 
 def _graph_csv(G: Graph) -> str:
@@ -75,19 +82,9 @@ def _betti_csv(bt: BettiTable) -> str:
     return "\n".join(out) + "\n"
 
 
-def _emit_betti(C: Complex, args: argparse.Namespace) -> None:
-    """Betti numbers up to --max-dim (default: the complex's dimension) under --max-faces."""
-    maxdim = args.max_dim if args.max_dim is not None else max(C.dim, 0)
-    bt = betti_bounded(C, maxdim, max_faces=args.max_faces)
-    if args.format == "csv":
-        sys.stdout.write(_betti_csv(bt))
-    else:
-        _emit_json(bt.to_json_dict())
-
-
-def _report_csv(d: dict) -> str:
+def _report_csv(rep) -> str:
     out = ["key,value"]
-    for key, val in d.items():
+    for key, val in rep.to_json_dict().items():
         if key == "crosschecks":
             for item in val:
                 out.append(f"crosscheck:{item['name']},{item['pass']}")
@@ -102,19 +99,13 @@ def _report_csv(d: dict) -> str:
 
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
-    if args.cor1:
-        if args.m is None:
-            raise InvalidArgumentError("--cor1 needs --m")
+    if args.m is not None:
         rep = corollary1_report(args.m, args.n)
     else:
         if not 3 <= args.n <= 5:
             raise InvalidArgumentError("reproduction is sized for 3 <= n <= 5")
         rep = theorem1_report(args.n, include_bruteforce=args.method != "morse")
-    data = rep.to_json_dict()
-    if args.format == "csv":
-        sys.stdout.write(_report_csv(data))
-    else:
-        _emit_json(data)
+    _emit(args, rep, _report_csv, lambda r: r.to_json_dict())
     return EXIT_OK if rep.ok else EXIT_MISMATCH
 
 
@@ -126,39 +117,29 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
-    if args.max_faces < 1:
-        raise InvalidArgumentError("--max-faces must be positive")
-    if args.max_dim is not None and args.max_dim < 0:
-        raise InvalidArgumentError("--max-dim must be nonnegative")
     if args.what == "exp-graph":
-        if not args.g or not args.h:
-            raise InvalidArgumentError("exp-graph needs --g and --h")
         E = exponential_graph(_atom(args.g), _atom(args.h))
-        if args.format == "csv":
-            sys.stdout.write(_graph_csv(E))
-        else:
-            _emit_json(graph_to_json(E))
+        _emit(args, E, _graph_csv, graph_to_json)
     elif args.what == "fold":
-        F = fold_reduce(_graph_from(args))
-        if args.format == "csv":
-            sys.stdout.write(_graph_csv(F))
-        else:
-            _emit_json(graph_to_json(F))
+        _emit(args, fold_reduce(_graph_from(args)), _graph_csv, graph_to_json)
     elif args.what == "ncomplex":
         NC = neighborhood_complex(_graph_from(args))
-        if args.format == "csv":
-            sys.stdout.write(_complex_csv(NC))
-        else:
-            _emit_json(complex_to_json(NC))
-    elif args.what == "homology":
-        _emit_betti(neighborhood_complex(_graph_from(args)), args)
-    elif args.what == "hom":
-        if not args.g or not args.h:
-            raise InvalidArgumentError("hom needs --g and --h")
-        cells = enumerate_hom_cells(_atom(args.g), _atom(args.h))
-        _emit_betti(order_complex_of_hom(cells, max_faces=args.max_faces), args)
+        _emit(args, NC, _complex_csv, complex_to_json)
     else:
-        raise InvalidArgumentError(f"unknown compute target {args.what!r}")
+        # homology and hom: Betti numbers up to --max-dim (default: the
+        # complex's dimension) under --max-faces.
+        if args.max_faces < 1:
+            raise InvalidArgumentError("--max-faces must be positive")
+        if args.max_dim is not None and args.max_dim < 0:
+            raise InvalidArgumentError("--max-dim must be nonnegative")
+        if args.what == "homology":
+            C = neighborhood_complex(_graph_from(args))
+        else:
+            cells = enumerate_hom_cells(_atom(args.g), _atom(args.h))
+            C = order_complex_of_hom(cells, max_faces=args.max_faces)
+        maxdim = args.max_dim if args.max_dim is not None else max(C.dim, 0)
+        bt = betti_bounded(C, maxdim, max_faces=args.max_faces)
+        _emit(args, bt, _betti_csv, BettiTable.to_json_dict)
     return EXIT_OK
 
 
@@ -167,14 +148,31 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="expmorse",
         description="Homology of neighborhood complexes of exponential graphs.")
     sub = ap.add_subparsers(dest="command", required=True)
+    # Parent parsers: each command and compute target takes only the
+    # groups of flags it reads.
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("json", "csv"), default="json")
+    source = argparse.ArgumentParser(add_help=False)
+    one = source.add_mutually_exclusive_group(required=True)
+    one.add_argument("--graph", help="kN, cN, or a graph JSON file")
+    one.add_argument("--exp", nargs=2, type=int, metavar=("M", "N"),
+                     help="core of K_M^{K_N}")
+    pair = argparse.ArgumentParser(add_help=False)
+    pair.add_argument("--g", required=True, help="source graph atom")
+    pair.add_argument("--h", required=True, help="target graph atom")
+    bounds = argparse.ArgumentParser(add_help=False)
+    bounds.add_argument("--max-dim", type=int, dest="max_dim")
+    bounds.add_argument("--max-faces", type=int, dest="max_faces",
+                        default=DEFAULT_MAX_FACES)
 
-    rp = sub.add_parser("reproduce", help="run the pipeline and its cross-checks")
+    rp = sub.add_parser("reproduce", parents=[fmt],
+                        help="run the pipeline and its cross-checks")
     rp.add_argument("--n", type=int, required=True)
-    rp.add_argument("--cor1", action="store_true",
-                    help="classify the core of K_m^{K_n} instead")
-    rp.add_argument("--m", type=int)
-    rp.add_argument("--method", choices=("morse", "both"), default="both")
-    rp.add_argument("--format", choices=("json", "csv"), default="json")
+    route = rp.add_mutually_exclusive_group()
+    route.add_argument("--m", type=int, help="classify the core of K_m^{K_n} instead")
+    # No default value: argparse ignores a flag of an exclusive group whose
+    # value is its default object, so `--m 3 --method both` would pass.
+    route.add_argument("--method", choices=("morse", "both"), help="default: both")
     rp.set_defaults(func=cmd_reproduce)
 
     vp = sub.add_parser("verify", help="run structural checks")
@@ -183,17 +181,14 @@ def _build_parser() -> argparse.ArgumentParser:
     vp.set_defaults(func=cmd_verify)
 
     cp = sub.add_parser("compute", help="ad-hoc graph and homology queries")
-    cp.add_argument("what", choices=("exp-graph", "fold", "ncomplex",
-                                     "homology", "hom"))
-    cp.add_argument("--graph", help="kN, cN, or a graph JSON file")
-    cp.add_argument("--exp", nargs=2, type=int, metavar=("M", "N"),
-                    help="core of K_M^{K_N}")
-    cp.add_argument("--g", help="source graph atom")
-    cp.add_argument("--h", help="target graph atom")
-    cp.add_argument("--max-dim", type=int, dest="max_dim")
-    cp.add_argument("--max-faces", type=int, dest="max_faces",
-                    default=DEFAULT_MAX_FACES)
-    cp.add_argument("--format", choices=("json", "csv"), default="json")
+    targets = cp.add_subparsers(dest="what", required=True)
+    for what, parents in (("exp-graph", [pair, fmt]), ("fold", [source, fmt]),
+                          ("ncomplex", [source, fmt]),
+                          ("homology", [source, bounds, fmt]),
+                          ("hom", [pair, bounds, fmt])):
+        # No abbreviations: on fold, --g would be read as --graph, and on
+        # homology, --h as --help.
+        targets.add_parser(what, parents=parents, allow_abbrev=False)
     cp.set_defaults(func=cmd_compute)
     return ap
 

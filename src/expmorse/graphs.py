@@ -7,6 +7,7 @@ big-int operations.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -318,9 +319,18 @@ def fold_reduce(G: Graph) -> Graph:
 
 
 def core_vertices(m: int, n: int) -> List[FnVertex]:
-    """Constant maps <1>..<m> first, then injective maps in lexicographic order."""
+    """Constant maps <1>..<m> first, then injective maps in lexicographic order.
+
+    Refuses before listing any map when there would be more than
+    DEFAULT_VERTEX_BOUND of them, the bound exponential_graph puts on m^n.
+    """
     if m < 1 or n < 1:
         raise InvalidArgumentError("need m >= 1 and n >= 1")
+    total = m + math.perm(m, n) if n > 1 else m
+    if total > DEFAULT_VERTEX_BOUND:
+        raise ResourceLimitError(
+            f"core of K_{m}^{{K_{n}}} would have {total} vertices, "
+            f"over the bound {DEFAULT_VERTEX_BOUND}", bound=DEFAULT_VERTEX_BOUND)
     verts = [FnVertex((x,) * n) for x in range(1, m + 1)]
     if n > 1:
         verts.extend(FnVertex(p) for p in itertools.permutations(range(1, m + 1), n))
@@ -346,10 +356,16 @@ def graph_to_json(G: Graph) -> dict:
 
 
 def graph_from_json(data: dict) -> Graph:
+    """The graph of {labels, edges, loops}: a list of strings and int vertex ids."""
     try:
-        labels = list(data["labels"])
-        edges = [(int(u), int(v)) for u, v in data["edges"]]
-        loops = [int(v) for v in data.get("loops", [])]
+        labels = data["labels"]
+        edges = [(u, v) for u, v in data["edges"]]
+        loops = list(data.get("loops", []))
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidArgumentError(f"malformed graph JSON: {exc}") from exc
+    if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
+        raise InvalidArgumentError("malformed graph JSON: labels must be a list of strings")
+    for v in [v for e in edges for v in e] + loops:
+        if type(v) is not int:  # bool is an int subclass; JSON true is no vertex id
+            raise InvalidArgumentError(f"malformed graph JSON: vertex id {v!r} is not an int")
     return Graph.from_edges(labels, edges, loops)

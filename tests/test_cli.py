@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -39,7 +40,7 @@ def test_reproduce_csv(capsys):
 
 
 def test_reproduce_corollary(capsys):
-    code, out, _ = _run(capsys, "reproduce", "--n", "5", "--cor1", "--m", "3")
+    code, out, _ = _run(capsys, "reproduce", "--n", "5", "--m", "3")
     assert code == 0
     d = json.loads(out)
     assert d["case"] == "m<n" and d["betti"] == [1, 1]
@@ -94,14 +95,87 @@ def test_graph_json_file_input(tmp_path, capsys):
 
 def test_invalid_arguments_exit_two(capsys):
     assert _run(capsys, "reproduce", "--n", "9")[0] == 2
-    assert _run(capsys, "reproduce", "--n", "3", "--cor1")[0] == 2
     assert _run(capsys, "compute", "fold", "--graph", "zzz")[0] == 2
-    assert _run(capsys, "compute", "hom", "--g", "k2")[0] == 2
-    for argv in (["compute", "nosuch", "--graph", "k3"],
+    # "both" is written as a literal, the same object as an argparse default
+    # of "both" would be: --m must still exclude it.
+    for argv in (["reproduce", "--n", "3", "--cor1"],
+                 ["reproduce", "--n", "3", "--m", "3", "--method", "both"],
+                 ["compute", "hom", "--g", "k2"],
+                 ["compute", "nosuch", "--graph", "k3"],
                  ["verify", "--n", "3", "--lemma", "wn", "--format", "csv"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+
+# Each compute target takes only the flags it reads, --graph and --exp
+# exclude each other, and so do reproduce's --m and --method.
+UNREAD_FLAGS = [
+    "compute exp-graph --g k2 --h k3 --graph k3",
+    "compute exp-graph --g k2 --h k3 --exp 3 2",
+    "compute exp-graph --g k2 --h k3 --max-dim 1",
+    "compute exp-graph --g k2 --h k3 --max-faces 5",
+    "compute fold --graph k3 --g k2",
+    "compute fold --graph k3 --h k3",
+    "compute fold --graph k3 --max-dim 1",
+    "compute fold --graph k3 --max-faces 5",
+    "compute ncomplex --graph k3 --g k2",
+    "compute ncomplex --graph k3 --h k3",
+    "compute ncomplex --graph k3 --max-dim 1",
+    "compute ncomplex --graph k3 --max-faces 5",
+    "compute homology --graph k3 --g k2",
+    "compute homology --graph k3 --h k9",
+    "compute hom --g k2 --h k3 --graph k3",
+    "compute hom --g k2 --h k3 --exp 3 2",
+    "compute fold --graph k3 --exp 3 2",
+    "reproduce --n 3 --m 3 --method morse",
+]
+
+
+@pytest.mark.parametrize("command", UNREAD_FLAGS)
+def test_flag_a_command_does_not_read_exits_two(command):
+    with pytest.raises(SystemExit) as exc:
+        main(command.split())
+    assert exc.value.code == 2
+
+
+def test_readme_commands_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, re.M | re.S)
+    commands = [line.split("#")[0].split() for block in blocks
+                for line in block.splitlines() if line.startswith("expmorse ")]
+    assert len(commands) >= 10
+    parser = cli._build_parser()
+    for argv in commands:
+        parser.parse_args(argv[1:])
+
+
+@pytest.mark.parametrize("graph", [
+    {"labels": [1, 2, 3], "edges": [[0, 1]], "loops": []},
+    {"labels": ["a", "b", "c"], "edges": [[0, 1.5]], "loops": []},
+    {"labels": ["a", "b", "c"], "edges": [], "loops": [True]},
+    {"labels": ["a", "b", "c"], "edges": [["0", "2"]], "loops": []},
+])
+def test_malformed_graph_json_exits_two(tmp_path, capsys, graph):
+    p = tmp_path / "g.json"
+    p.write_text(json.dumps(graph))
+    code, out, err = _run(capsys, "compute", "ncomplex", "--graph", str(p),
+                          "--format", "csv")
+    assert code == 2
+    assert out == ""
+    assert "malformed graph JSON" in err
+
+
+@pytest.mark.parametrize("command", ["compute homology --exp 11 11",
+                                     "reproduce --n 11 --m 11"])
+def test_core_over_the_vertex_bound_exits_three_at_once(capsys, command):
+    # The core of K_11^{K_11} has 11 + 11! vertices.
+    start = time.perf_counter()
+    code, out, err = _run(capsys, *command.split())
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    assert out == ""
+    assert "over the bound 1000000" in err
 
 
 def test_resource_limit_exit_three(capsys):

@@ -36,6 +36,7 @@ PINNED_COMMANDS = {
                                "--format", "csv"],
     "reproduce-n5-morse.csv": ["reproduce", "--n", "5", "--method", "morse",
                                "--format", "csv"],
+    "reproduce-n5-m3.json": ["reproduce", "--n", "5", "--m", "3"],
     "verify-n3-all.txt": ["verify", "--n", "3", "--lemma", "all"],
     "verify-n4-all.txt": ["verify", "--n", "4", "--lemma", "all"],
     "compute-exp-3-2.json": ["compute", "homology", "--exp", "3", "2", "--max-dim", "2"],
