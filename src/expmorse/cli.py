@@ -24,7 +24,8 @@ from .graphs import (Graph, complete_graph, cycle_graph, exponential_graph,
                      fold_core_exponential, fold_reduce, graph_from_json,
                      graph_to_json)
 from .homc import enumerate_hom_cells, order_complex_of_hom
-from .pipeline import LEMMA_KEYS, corollary1_report, theorem1_report, verify_lemma
+from .pipeline import (LEMMA_KEYS, SIZED_N, corollary1_report, theorem1_report,
+                       verify_lemma)
 
 __all__ = ["cmd_reproduce", "cmd_verify", "cmd_compute", "main"]
 
@@ -99,11 +100,14 @@ def _report_csv(rep) -> str:
 
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
+    # --m N+1 with N >= 3 runs the full report at N, so it obeys the same size rule.
+    full = args.m is None or (args.m == args.n + 1 and args.n >= 3)
+    if full and args.n not in SIZED_N:
+        raise InvalidArgumentError(
+            f"reproduction is sized for {SIZED_N[0]} <= n <= {SIZED_N[-1]}")
     if args.m is not None:
         rep = corollary1_report(args.m, args.n)
     else:
-        if not 3 <= args.n <= 5:
-            raise InvalidArgumentError("reproduction is sized for 3 <= n <= 5")
         rep = theorem1_report(args.n, include_bruteforce=args.method != "morse")
     _emit(args, rep, _report_csv, lambda r: r.to_json_dict())
     return EXIT_OK if rep.ok else EXIT_MISMATCH

@@ -120,16 +120,20 @@ class Complex:
             faces.update(itertools.combinations(facet, dim + 1))
         return iter(sorted(faces))
 
-    def faces_by_dim(self, maxdim: int, max_faces: int = DEFAULT_MAX_FACES) -> List[List[Face]]:
-        """Faces of each dimension 0..maxdim, each once, in lex order; none above `dim`."""
+    def faces_by_dim(self, maxdim: int) -> List[List[Face]]:
+        """Faces of each dimension 0..maxdim, each once, in lex order; none above `dim`.
+
+        Refused when the face estimates of dimensions 0..maxdim sum past
+        DEFAULT_MAX_FACES; the sum stops at the first dimension that does.
+        """
         top = min(maxdim, self.dim)
-        total = sum(self.face_count_estimate(d) for d in range(top + 1))
-        if total > max_faces:
-            big = max((len(f) for f in self.facets), default=0)
-            raise ResourceLimitError(
-                f"enumerating faces up to dim {maxdim} needs ~{total} steps "
-                f"(largest facet has {big} vertices), over the bound {max_faces}",
-                bound=max_faces)
+        for total in itertools.accumulate(map(self.face_count_estimate, range(top + 1))):
+            if total > DEFAULT_MAX_FACES:
+                big = max((len(f) for f in self.facets), default=0)
+                raise ResourceLimitError(
+                    f"enumerating faces up to dim {maxdim} needs at least {total} "
+                    f"steps (largest facet has {big} vertices), over the bound "
+                    f"{DEFAULT_MAX_FACES}", bound=DEFAULT_MAX_FACES)
         return ([list(self.iter_faces_of_dim(d)) for d in range(top + 1)]
                 + [[] for _ in range(maxdim - top)])
 

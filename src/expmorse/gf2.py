@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import accumulate
+from itertools import accumulate, takewhile
 from typing import (AbstractSet, Dict, Iterable, Iterator, List, Optional, Sequence, Set,
                     Tuple, Union)
 
@@ -151,12 +151,14 @@ def betti_bounded(C: Complex, maxdim: int, max_faces: int = DEFAULT_MAX_FACES) -
     if maxdim < 0:
         raise InvalidArgumentError("maxdim must be nonnegative")
     top = min(maxdim, C.dim)  # the last dimension that can have faces
-    spent = list(accumulate(map(C.face_count_estimate, range(top + 2))))  # spent[d]: dims 0..d
-    if spent[0] > max_faces:
+    # spent[d]: estimated faces of dims 0..d, up to the last sum within the budget
+    spent = list(takewhile(lambda s: s <= max_faces,
+                           accumulate(map(C.face_count_estimate, range(top + 2)))))
+    if not spent:
         raise ResourceLimitError(
             f"cannot enumerate even the vertices within the budget {max_faces}",
             bound=max_faces)
-    v = next((d - 2 for d, s in enumerate(spent) if s > max_faces), maxdim)
+    v = len(spent) - 2 if len(spent) < top + 2 else maxdim
     if v < 0:
         raise ResourceLimitError(
             f"face budget {max_faces} too small to verify any dimension", bound=max_faces)

@@ -65,9 +65,6 @@ class Graph:
     def vertex_count(self) -> int:
         return len(self.labels)
 
-    def adjacent(self, u: int, v: int) -> bool:
-        return bool(self._nbr[u] >> v & 1)
-
     def has_loop(self, v: int) -> bool:
         return bool(self._nbr[v] >> v & 1)
 
@@ -242,7 +239,7 @@ def _map_adjacency(verts: Sequence[Tuple[int, ...]], index: Dict[Tuple[int, ...]
     return nbr
 
 
-def exponential_graph(G: Graph, H: Graph, max_vertices: int = DEFAULT_VERTEX_BOUND) -> Graph:
+def exponential_graph(G: Graph, H: Graph) -> Graph:
     """The graph H^G on all maps V(G) -> V(H).
 
     f ~ g iff every edge (u,v) of G (loops included) has f(u) ~ g(v) in H.
@@ -254,10 +251,11 @@ def exponential_graph(G: Graph, H: Graph, max_vertices: int = DEFAULT_VERTEX_BOU
     if n == 0 or m == 0:
         raise InvalidArgumentError("exponential graph needs nonempty G and H")
     total = m ** n
-    if total > max_vertices:
+    if total > DEFAULT_VERTEX_BOUND:
         raise ResourceLimitError(
-            f"exponential graph would have {total} vertices, over the bound {max_vertices}",
-            bound=max_vertices)
+            f"exponential graph would have {total} vertices, "
+            f"over the bound {DEFAULT_VERTEX_BOUND}",
+            bound=DEFAULT_VERTEX_BOUND)
     verts = list(itertools.product(range(1, m + 1), repeat=n))
     index = {v: i for i, v in enumerate(verts)}
     nbr = _map_adjacency(verts, index, G, H)

@@ -34,6 +34,7 @@ __all__ = [
     "corollary1_report",
     "verify_lemma",
     "LEMMA_KEYS",
+    "SIZED_N",
 ]
 
 
@@ -501,6 +502,8 @@ _LEMMA_CHECKS: Dict[str, Callable[[int], List[Tuple[str, bool]]]] = {
     "wn": lambda n: [("transposition-ordering", _check_wn(n))],
 }
 LEMMA_KEYS = tuple(_LEMMA_CHECKS) + ("all",)
+# The only n at which `reproduce` runs the full report and `verify` the checks.
+SIZED_N = range(3, 6)
 
 
 def _run_checks(n: int, keys: Sequence[str]) -> List[Tuple[str, bool]]:
@@ -512,7 +515,7 @@ def verify_lemma(n: int, which: str) -> List[Tuple[str, bool]]:
     if which not in LEMMA_KEYS:
         raise InvalidArgumentError(
             f"unknown check {which!r}; choose from {', '.join(LEMMA_KEYS)}")
-    if n < 3 or n > 5:
-        raise InvalidArgumentError("checks are sized for 3 <= n <= 5")
+    if n not in SIZED_N:
+        raise InvalidArgumentError(f"checks are sized for {SIZED_N[0]} <= n <= {SIZED_N[-1]}")
     keys = tuple(_LEMMA_CHECKS) if which == "all" else (which,)
     return [(k, all(ok for _, ok in _LEMMA_CHECKS[k](n))) for k in keys]

@@ -178,6 +178,18 @@ def test_core_over_the_vertex_bound_exits_three_at_once(capsys, command):
     assert "over the bound 1000000" in err
 
 
+def test_reproduce_m_obeys_the_size_rule_of_its_full_report(capsys):
+    # --m N+1 runs the full report at N, so N = 6 is refused as --n 6 is
+    start = time.perf_counter()
+    code, out, err = _run(capsys, "reproduce", "--n", "6", "--m", "7")
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert err == _run(capsys, "reproduce", "--n", "6")[2]
+    # N = 2 runs no full report and is not sized
+    assert _run(capsys, "reproduce", "--n", "2", "--m", "3")[0] == 0
+
+
 def test_resource_limit_exit_three(capsys):
     code, _, err = _run(capsys, "compute", "homology", "--graph", "k4",
                         "--max-faces", "2")

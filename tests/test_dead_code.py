@@ -1,9 +1,11 @@
 """Dead-code checks on the package source, written with the stdlib `ast`.
 
-No linter is installed, so these two checks stand in for one: every import
-of a module is used in that module or re-exported through its `__all__` (the
-package's `__init__` imports only to re-export), and every module-level
-private function is referenced somewhere in the package.
+No linter is installed, so these checks stand in for one: every import of a
+module is used in that module or re-exported through its `__all__` (the
+package's `__init__` imports only to re-export), every module-level private
+function is referenced somewhere in the package, and every method or
+property of a package class is referenced somewhere in the package, the
+tests or the benchmark.
 """
 from __future__ import annotations
 
@@ -11,7 +13,8 @@ import ast
 from pathlib import Path
 from typing import Dict, Set
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "expmorse"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "expmorse"
 TREES: Dict[str, ast.Module] = {
     p.name: ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
     for p in sorted(SRC.glob("*.py"))}
@@ -54,4 +57,17 @@ def test_every_private_function_is_referenced():
                     for name, tree in TREES.items() for node in tree.body
                     if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
                     and node.name not in used]
+    assert unreferenced == []
+
+
+def test_every_method_is_referenced():
+    others = [ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
+              for d in ("tests", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
+    used = set().union(*map(_names_used, [*TREES.values(), *others]))
+    # dunder methods are called by the language, not by name
+    unreferenced = [f"{name}:{item.lineno} {node.name}.{item.name}"
+                    for name, tree in TREES.items() for node in tree.body
+                    if isinstance(node, ast.ClassDef)
+                    for item in node.body if isinstance(item, ast.FunctionDef)
+                    and not item.name.startswith("__") and item.name not in used]
     assert unreferenced == []

@@ -173,6 +173,28 @@ def test_betti_bounded_truncates_honestly():
     assert len(bt.betti) == bt.max_verified_dim + 1
 
 
+def test_budget_checks_stop_at_the_first_dimension_over_the_budget(monkeypatch):
+    C = Complex([str(v) for v in range(200)], [range(200)])  # a 199-simplex
+    calls = []
+    estimate = Complex.face_count_estimate
+    monkeypatch.setattr(Complex, "face_count_estimate",
+                        lambda self, d: calls.append(d) or estimate(self, d))
+    # cumulative estimates: 200, 20,100, 1,333,500, 66,018,450, ...
+    for budget, match, want in ((100, "even the vertices", [0]),
+                                (1000, "too small to verify", [0, 1])):
+        calls.clear()
+        with pytest.raises(ResourceLimitError, match=match):
+            betti_bounded(C, C.dim, max_faces=budget)
+        assert calls == want
+    calls.clear()
+    assert betti_bounded(C, C.dim, max_faces=20_100).betti == (1,)
+    assert calls == [0, 1, 2]
+    calls.clear()
+    with pytest.raises(ResourceLimitError, match="needs at least 66018450 steps"):
+        C.faces_by_dim(C.dim)
+    assert calls == [0, 1, 2, 3]
+
+
 def _dense_betti(C, maxdim):
     """Betti numbers 0..maxdim from whole boundary matrices, ranked densely."""
     bds = [boundary_matrix(C, k) for k in range(1, maxdim + 2)]

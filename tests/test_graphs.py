@@ -67,7 +67,7 @@ def test_exponential_complete_loops_are_injective_maps():
 
 def test_exponential_vertex_bound():
     with pytest.raises(ResourceLimitError):
-        exponential_graph(complete_graph(10), complete_graph(10), max_vertices=100)
+        exponential_graph(complete_graph(10), complete_graph(10))
 
 
 def test_complete_and_cycle_structure():

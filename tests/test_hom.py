@@ -3,14 +3,15 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from expmorse.complexes import neighborhood_complex
 from expmorse.errors import ResourceLimitError
 from expmorse.gf2 import betti_bounded
-from expmorse.graphs import (Graph, categorical_product, complete_graph,
+from expmorse.graphs import (Graph, _bits, categorical_product, complete_graph,
                              cycle_graph, fold_core_exponential)
-from expmorse.homc import (HomCell, enumerate_hom_cells, hom_cover_digraph,
-                           order_complex_of_hom)
+from expmorse.homc import enumerate_hom_cells, order_complex_of_hom
 
 
 def _brute_hom_cells(G: Graph, H: Graph):
@@ -38,7 +39,7 @@ def _brute_hom_cells(G: Graph, H: Graph):
 def test_enumeration_matches_brute_force(G, H):
     want = _brute_hom_cells(G, H)
     cells = enumerate_hom_cells(G, H)
-    assert {c.assignment for c in cells} == want
+    assert {tuple(map(_bits, c)) for c in cells} == want
     assert sorted(cells) == list(cells)
 
 
@@ -50,28 +51,57 @@ def test_edge_to_clique_cell_count_formula(b):
 
 
 def test_cell_count_bound():
+    # (2^6 - 1)^4 configurations, over DEFAULT_MAX_CONFIGS
     with pytest.raises(ResourceLimitError):
-        enumerate_hom_cells(complete_graph(4), complete_graph(5), max_configs=100)
+        enumerate_hom_cells(complete_graph(4), complete_graph(6))
 
 
-def test_homcell_refines_and_label():
-    a = HomCell(((0,), (1, 2)))
-    b = HomCell(((0,), (1,)))
-    assert b.refines(a) and not a.refines(b)
-    assert a.dimension == 1 and b.dimension == 0
-    assert a.label() == "0|1 2"
+def _label(cell) -> str:
+    return "|".join(" ".join(map(str, s)) for s in cell)
 
 
-def test_cover_digraph_is_the_refinement_one_step_relation():
-    cells = enumerate_hom_cells(complete_graph(2), complete_graph(3))
-    cover = hom_cover_digraph(cells)
-    for i, downs in cover.items():
-        for j in downs:
-            assert cells[j].refines(cells[i])
-            assert cells[j].dimension == cells[i].dimension - 1
-    # every non-minimal cell covers something
-    total = sum(len(v) for v in cover.values())
-    assert total > 0
+def _brute_maximal_chains(cells):
+    """Maximal chains of the cells under componentwise inclusion, each a set of cells."""
+    def below(a, b):
+        return a != b and all(set(x) <= set(y) for x, y in zip(a, b))
+
+    ups = {a: [b for b in cells if below(a, b)] for a in cells}
+    covers = {a: [b for b in ups[a] if not any(below(c, b) for c in ups[a])]
+              for a in cells}
+    chains = []
+
+    def extend(chain):
+        if not covers[chain[-1]]:
+            chains.append(frozenset(chain))
+        for b in covers[chain[-1]]:
+            extend(chain + [b])
+
+    for a in cells:
+        if not any(below(c, a) for c in cells):
+            extend([a])
+    return chains
+
+
+@st.composite
+def _graph(draw):
+    n = draw(st.integers(1, 4))
+    edges = [p for p in itertools.combinations(range(n), 2) if draw(st.booleans())]
+    loops = [v for v in range(n) if draw(st.booleans())]
+    return Graph.from_edges([str(v) for v in range(n)], edges, loops)
+
+
+@settings(max_examples=60)
+@given(_graph(), _graph())
+@example(complete_graph(2), complete_graph(3))
+def test_order_complex_matches_brute_force_chains(G, H):
+    cells = enumerate_hom_cells(G, H)
+    assume(len(cells) <= 120)
+    brute = _brute_hom_cells(G, H)
+    OC = order_complex_of_hom(cells)
+    assert sorted(OC.labels) == sorted(map(_label, brute))
+    got = {frozenset(OC.labels[v] for v in f) for f in OC.facets}
+    want = {frozenset(map(_label, chain)) for chain in _brute_maximal_chains(brute)}
+    assert got == want
 
 
 @pytest.mark.parametrize("b,want", [(3, (1, 1)), (4, (1, 0, 1))])

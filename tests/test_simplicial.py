@@ -69,9 +69,9 @@ def test_face_count_estimate_upper_bounds_actual():
 
 
 def test_faces_budget_enforced():
-    C = build_delta(3)
+    C = Complex([str(v) for v in range(30)], [range(30)])  # 2^30 - 1 faces
     with pytest.raises(ResourceLimitError):
-        C.faces_by_dim(2, max_faces=10)
+        C.faces_by_dim(C.dim)
 
 
 def test_contains_and_collapse_owner_lookup():
