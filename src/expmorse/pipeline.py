@@ -11,12 +11,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 from math import factorial
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Sequence, Set, Tuple
 
 from .complexes import Complex, Face, build_delta, delta_facet_families, neighborhood_complex
 from .errors import (InternalConsistencyError, InvalidArgumentError,
                      LemmaViolationError)
-from .gf2 import Gf2Matrix, betti_bounded, betti_of_chain, rank_gf2
+from .gf2 import BettiTable, Gf2Matrix, betti_bounded, betti_of_chain, rank_gf2
 from .graphs import FnVertex, core_vertices, fold_core_exponential, variant
 from .morse import (AcyclicityResult, CriticalSet, DescentCache, FacePoset,
                     Matching, critical_cells, face_poset, is_acyclic,
@@ -72,13 +72,10 @@ def build_matching_mu(n: int) -> Matching:
     verts, index = _core(n)
     pairs: Dict[Face, Face] = {}
     used: Set[Face] = set()
-    for d in range(P.dim + 1):
-        for c in P.cells(d):
-            if c[0] == 0:
-                continue
-            up = (0,) + c
-            if up in P:
-                pairs[c] = up
+    for d in range(1, P.dim + 1):
+        for up in P.cells(d):
+            if up[0] == 0:  # up contains <1>, so up minus <1> is the cell it extends
+                pairs[up[1:]] = up
                 used.add(up)
 
     for c in P.cells(1):
@@ -136,6 +133,18 @@ def _descent(n: int) -> DescentCache:
 @lru_cache(maxsize=None)
 def _acyclicity(n: int) -> AcyclicityResult:
     return is_acyclic(build_matching_mu(n))
+
+
+@lru_cache(maxsize=None)
+def _morse_homology(n: int) -> Tuple[int, BettiTable]:
+    """Rank of the Morse ∂₂ and the Betti numbers of the Morse chain complex."""
+    chain = morse_boundaries(delta_poset(n), build_matching_mu(n), _descent(n))
+    return chain[1].rank(), betti_of_chain(chain)
+
+
+@lru_cache(maxsize=None)
+def _facet_counts(n: int) -> Tuple[Tuple[str, int], ...]:
+    return tuple((k, len(v)) for k, v in delta_facet_families(n).items())
 
 
 @lru_cache(maxsize=None)
@@ -240,28 +249,23 @@ def _incidence_rank(n: int) -> int:
     return rank_gf2(_incidence(n))
 
 
-def _two_path_targets(n: int, tau: Face) -> Optional[Set[Face]]:
-    """The two 1-cells a critical triangle should reach, or None if malformed."""
-    verts, index = _core(n)
-    x = tau[0] + 1
-    g1, g2 = verts[tau[1]], verts[tau[2]]
-    if (x in g1.image) == (x in g2.image):
-        return None
-    f, fi = (g1, g2) if x not in g1.image else (g2, g1)
-    if 1 not in f.image or 1 not in fi.image:
-        return None
-    k = f.values.index(1) + 1
-    miss_fi = fi.missing_values(n + 1)[0]
-    return {tuple(sorted((1, index[variant(f, k, x).values]))),
-            tuple(sorted((1, index[variant(fi, k, miss_fi).values])))}
-
-
 def _check_two_path_targets(n: int) -> bool:
-    crit = _critical(n)
+    """Each critical triangle's descent reaches the two 1-cells its maps predict."""
+    verts, index = _core(n)
     cache = _descent(n)
-    for tau in _injective_triangles(crit, n):
-        want = _two_path_targets(n, tau)
-        if want is None or set(cache.boundary_support(tau)) != want:
+    for tau in _injective_triangles(_critical(n), n):
+        x = tau[0] + 1
+        g1, g2 = verts[tau[1]], verts[tau[2]]
+        if (x in g1.image) == (x in g2.image):
+            return False
+        f, fi = (g1, g2) if x not in g1.image else (g2, g1)
+        if 1 not in f.image or 1 not in fi.image:
+            return False
+        k = f.values.index(1) + 1
+        miss_fi = fi.missing_values(n + 1)[0]
+        want = {tuple(sorted((1, index[variant(f, k, x).values]))),
+                tuple(sorted((1, index[variant(fi, k, miss_fi).values])))}
+        if set(cache.boundary_support(tau)) != want:
             return False
     return True
 
@@ -317,64 +321,16 @@ class PipelineReport:
         }
 
 
-# Brute-force check depth for the uncollapsed neighborhood complex: full for
-# n=3; dimension 3 at n=4 (faces of size 5 are only streamed); dimension 1 at
-# n=5, where 125-vertex facets make anything deeper unreasonable.
-_NCOMPLEX_BRUTE_DEPTH = {3: None, 4: 3, 5: 1}
-
-
 def theorem1_report(n: int, include_bruteforce: bool = True) -> PipelineReport:
     """Run the whole pipeline at one n and cross-check every claimed structure."""
     if n < 3:
         raise InvalidArgumentError("the pipeline needs n >= 3")
-    fams = delta_facet_families(n)
-    facets = tuple((k, len(v)) for k, v in fams.items())
-    P = delta_poset(n)
-    M = build_matching_mu(n)
-
-    checks = _run_checks(n, ("matching", "acyclic", "census"))
-    checks.append(("facet-count-formulas", (
-        dict(facets) == {
-            "M1": factorial(n + 1) * n,
-            "A1": n * factorial(n) * (n - 1),
-            "A2": factorial(n) * (n - 1),
-            "A3": n + 1,
-        })))
-
-    chain = morse_boundaries(P, M, _descent(n))
-    rank_d2 = chain[1].rank()
-    bt = betti_of_chain(chain)
-
-    incidence = _LEMMA_CHECKS["incidence"](n)
-    checks.extend(incidence)
-    if incidence[0][1]:  # column-weight-two held, so the matrix has a rank
-        checks.append(("rank-d2-consistent", _incidence_rank(n) == rank_d2))
-    checks.extend(_run_checks(n, ("paths", "avoid-one", "wn")))
-
-    delta_bt = betti_bounded(_delta(n), _delta(n).dim)
-    checks.append(("betti-delta-bruteforce",
-                   delta_bt.agrees_with(bt)
-                   and delta_bt.max_verified_dim >= bt.max_verified_dim))
-
-    if include_bruteforce:
-        NC = neighborhood_complex(fold_core_exponential(n + 1, n))
-        depth = _NCOMPLEX_BRUTE_DEPTH.get(n, 1)
-        if depth is None:
-            depth = NC.dim
-        nb = betti_bounded(NC, depth)
-        ok = nb.agrees_with(bt) and all(
-            v == 0 for v in nb.betti[bt.max_verified_dim + 1:])
-        checks.append((f"betti-ncomplex-bruteforce-dims-0-{nb.max_verified_dim}", ok))
-
+    keys = _REPORT_KEYS + (("nc-bruteforce",) if include_bruteforce else ())
+    checks = tuple(_run_checks(n, keys))
+    rank_d2, bt = _morse_homology(n)
     return PipelineReport(
-        n=n,
-        facets=facets,
-        critical=_critical(n).counts,
-        rank_d2=rank_d2,
-        betti=bt.betti,
-        acyclic=_acyclicity(n).acyclic,
-        crosschecks=tuple(checks),
-    )
+        n=n, facets=_facet_counts(n), critical=_critical(n).counts, rank_d2=rank_d2,
+        betti=bt.betti, acyclic=_acyclicity(n).acyclic, crosschecks=checks)
 
 
 @dataclass(frozen=True)
@@ -484,9 +440,38 @@ def _check_incidence(n: int) -> List[Tuple[str, bool]]:
             ("incidence-rank", _incidence_rank(n) == factorial(n) - 1)]
 
 
-# The one definition of every structural check: verify key -> the report
-# crosschecks it stands for. free-faces and trichotomy are verify-only.
-_LEMMA_CHECKS: Dict[str, Callable[[int], List[Tuple[str, bool]]]] = {
+def _check_rank_d2(n: int) -> List[Tuple[str, bool]]:
+    # No verdict without the incidence matrix: column-weight-two reports that.
+    try:
+        rank = _incidence_rank(n)
+    except LemmaViolationError:
+        return []
+    return [("rank-d2-consistent", rank == _morse_homology(n)[0])]
+
+
+def _check_delta_bruteforce(n: int) -> bool:
+    bt = _morse_homology(n)[1]
+    delta_bt = betti_bounded(_delta(n), _delta(n).dim)
+    return delta_bt.agrees_with(bt) and delta_bt.max_verified_dim >= bt.max_verified_dim
+
+
+# Face budget of the brute-force pass on the uncollapsed complex NC: it
+# verifies dims 0-8, 0-3, 0-1 and 0 at n = 3, 4, 5, 6, as does any budget in
+# [2,028,747, 2,503,444] (test_pipeline pins the face sums behind that).
+_NC_MAX_FACES = 2_250_000
+
+
+def _check_nc_bruteforce(n: int) -> List[Tuple[str, bool]]:
+    bt = _morse_homology(n)[1]
+    NC = neighborhood_complex(fold_core_exponential(n + 1, n))
+    nb = betti_bounded(NC, NC.dim, max_faces=_NC_MAX_FACES)
+    ok = nb.agrees_with(bt) and all(v == 0 for v in nb.betti[bt.max_verified_dim + 1:])
+    return [(f"betti-ncomplex-bruteforce-dims-0-{nb.max_verified_dim}", ok)]
+
+
+# The one definition of every crosscheck: key -> the named verdicts it yields.
+# `verify` and the report each walk a tuple of these keys.
+_CHECKS: Dict[str, Callable[[int], List[Tuple[str, bool]]]] = {
     "free-faces": lambda n: [("free-face-collapse", _check_free_faces(n))],
     "trichotomy": lambda n: [("one-cell-trichotomy", _check_trichotomy(n))],
     "matching": lambda n: [("matching-valid", not validate_matching(
@@ -494,20 +479,30 @@ _LEMMA_CHECKS: Dict[str, Callable[[int], List[Tuple[str, bool]]]] = {
     "acyclic": lambda n: [("matching-acyclic", _acyclicity(n).acyclic)],
     "census": lambda n: [("critical-census",
                           _critical(n) == closed_form_critical(n))],
+    "facet-counts": lambda n: [("facet-count-formulas", dict(_facet_counts(n)) == {
+        "M1": factorial(n + 1) * n, "A1": n * factorial(n) * (n - 1),
+        "A2": factorial(n) * (n - 1), "A3": n + 1})],
     "paths": lambda n: [("two-path-targets", _check_two_path_targets(n))],
     "avoid-one": lambda n: [("paths-avoid-first-constant",
                              _acyclicity(n).acyclic
                              and _check_paths_avoid_base(n))],
     "incidence": _check_incidence,
+    "rank-d2": _check_rank_d2,
     "wn": lambda n: [("transposition-ordering", _check_wn(n))],
+    "delta-bruteforce": lambda n: [("betti-delta-bruteforce", _check_delta_bruteforce(n))],
+    "nc-bruteforce": _check_nc_bruteforce,
 }
-LEMMA_KEYS = tuple(_LEMMA_CHECKS) + ("all",)
+_VERIFY_KEYS = ("free-faces", "trichotomy", "matching", "acyclic", "census",
+                "paths", "avoid-one", "incidence", "wn")
+_REPORT_KEYS = ("matching", "acyclic", "census", "facet-counts", "incidence",
+                "rank-d2", "paths", "avoid-one", "wn", "delta-bruteforce")
+LEMMA_KEYS = _VERIFY_KEYS + ("all",)
 # The only n at which `reproduce` runs the full report and `verify` the checks.
 SIZED_N = range(3, 6)
 
 
 def _run_checks(n: int, keys: Sequence[str]) -> List[Tuple[str, bool]]:
-    return [pair for k in keys for pair in _LEMMA_CHECKS[k](n)]
+    return [pair for k in keys for pair in _CHECKS[k](n)]
 
 
 def verify_lemma(n: int, which: str) -> List[Tuple[str, bool]]:
@@ -517,5 +512,5 @@ def verify_lemma(n: int, which: str) -> List[Tuple[str, bool]]:
             f"unknown check {which!r}; choose from {', '.join(LEMMA_KEYS)}")
     if n not in SIZED_N:
         raise InvalidArgumentError(f"checks are sized for {SIZED_N[0]} <= n <= {SIZED_N[-1]}")
-    keys = tuple(_LEMMA_CHECKS) if which == "all" else (which,)
-    return [(k, all(ok for _, ok in _LEMMA_CHECKS[k](n))) for k in keys]
+    keys = _VERIFY_KEYS if which == "all" else (which,)
+    return [(k, all(ok for _, ok in _CHECKS[k](n))) for k in keys]

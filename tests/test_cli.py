@@ -102,7 +102,10 @@ def test_invalid_arguments_exit_two(capsys):
                  ["reproduce", "--n", "3", "--m", "3", "--method", "both"],
                  ["compute", "hom", "--g", "k2"],
                  ["compute", "nosuch", "--graph", "k3"],
-                 ["verify", "--n", "3", "--lemma", "wn", "--format", "csv"]):
+                 ["verify", "--n", "3", "--lemma", "wn", "--format", "csv"],
+                 # checks only the report runs
+                 *(["verify", "--n", "4", "--lemma", key] for key in
+                   ("facet-counts", "rank-d2", "delta-bruteforce", "nc-bruteforce"))):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2

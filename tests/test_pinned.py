@@ -6,6 +6,7 @@ so a refactor that reorders, renames or drops a crosscheck fails here.
 """
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from expmorse.cli import main
+from expmorse.pipeline import LEMMA_KEYS, theorem1_report
 
 ROOT = Path(__file__).resolve().parents[1]
 PINNED = Path(__file__).resolve().parent / "pinned"
@@ -64,6 +66,11 @@ def test_budget_below_any_verified_dimension_pinned(capsys):
     assert out.err == "resource limit: face budget 23 too small to verify any dimension\n"
 
 
+def test_report_crosscheck_names_n3_without_nc():
+    rep = theorem1_report(3, include_bruteforce=False)
+    assert tuple(name for name, _ in rep.crosschecks) == REPORT_CROSSCHECKS
+
+
 def test_report_crosscheck_names_n4(timed_report4):
     names = tuple(name for name, _ in timed_report4[0].crosschecks)
     assert names == REPORT_CROSSCHECKS + ("betti-ncomplex-bruteforce-dims-0-3",)
@@ -103,3 +110,26 @@ def test_benchmark_tracer_installs_on_the_real_modules():
     assert census == "census: pass"
     got, want = json.loads(counts)
     assert got == want == [28, 270, 576, 624, 528, 336, 144, 36, 4]
+
+
+def _load_benchmark_module(name):
+    # Both modules import nothing from expmorse; loading them runs no benchmark.
+    # The module is registered only while it runs, which its dataclasses need.
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+def test_benchmark_copies_of_the_verify_keys_match():
+    # The tracer names one span per verify key, and the verify-n4 gate counts
+    # the lines verify prints; both keep their own copy of the key list.
+    keys = tuple(k for k in LEMMA_KEYS if k != "all")
+    assert _load_benchmark_module("tracer").LEMMA_KEYS == keys
+    gate = _load_benchmark_module("workloads").WORKLOADS["verify-n4"]
+    assert gate.expect["checks"] == len(keys)

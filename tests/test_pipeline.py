@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import math
+from itertools import accumulate, islice
 
 import pytest
 
+from expmorse import pipeline
+from expmorse.complexes import neighborhood_complex
 from expmorse.errors import InvalidArgumentError
 from expmorse.gf2 import rank_gf2
+from expmorse.graphs import fold_core_exponential
 from expmorse.morse import critical_cells, is_acyclic, validate_matching
 from expmorse.pipeline import (LEMMA_KEYS, build_matching_mu,
                                closed_form_critical, corollary1_report,
@@ -124,6 +128,34 @@ def test_verify_lemma_rejects_bad_input():
         verify_lemma(3, "nonsense")
     with pytest.raises(InvalidArgumentError):
         verify_lemma(7, "matching")
+    report_only = set(pipeline._CHECKS) - set(LEMMA_KEYS)
+    assert report_only == {"facet-counts", "rank-d2", "delta-bruteforce", "nc-bruteforce"}
+    for key in sorted(report_only):
+        with pytest.raises(InvalidArgumentError):
+            verify_lemma(4, key)
+
+
+# Cumulative face estimates of NC at n = 3..6, up to the first sum over the
+# NC face budget, and the dimension that budget lets the report verify.
+NC_FACE_SUMS = {
+    3: ([156, 540, 1116, 1740, 2268, 2604, 2748, 2784, 2788, 2788], 8),
+    4: ([860, 4550, 23330, 127505, 619625, 2503445], 3),
+    5: ([5790, 67410, 1999110, 60172560], 1),
+    6: ([45402, 2028747, 446901287], 0),
+}
+
+
+@pytest.mark.parametrize("n", sorted(NC_FACE_SUMS))
+def test_nc_face_budget_sets_each_depth(n):
+    sums, depth = NC_FACE_SUMS[n]
+    NC = neighborhood_complex(fold_core_exponential(n + 1, n))
+    got = list(islice(accumulate(map(NC.face_count_estimate, range(NC.dim + 2))),
+                      len(sums)))
+    assert got == sums
+    # betti_bounded verifies d when dims 0..d+1 fit the budget (d = NC.dim if all do)
+    fit = sum(1 for total in got if total <= pipeline._NC_MAX_FACES)
+    assert (NC.dim if fit == NC.dim + 2 else fit - 2) == depth
+    assert 2_028_747 <= pipeline._NC_MAX_FACES <= 2_503_444
 
 
 def test_corollary_rejects_out_of_scope_pairs():
