@@ -4,7 +4,9 @@ Faces are sorted tuples of vertex indices. A complex stores only its maximal
 faces and one facet index: for each vertex, the set of ids (positions in
 `facets`) of the facets that contain it. "Which facets contain this face?"
 intersects those sets, smallest first; membership, cofacets, the maximality
-filter and free-face collapses all ask it that way.
+filter and free-face collapses all ask it that way. Nothing else is kept per
+facet: the cofacet vertices of a face are read off the facets that hold it,
+as a sorted list, and the least of them from one scan of each such facet.
 """
 from __future__ import annotations
 
@@ -53,7 +55,7 @@ def _facet_index(facets: Sequence[Face], n: int) -> List[Set[int]]:
 class Complex:
     """A simplicial complex given by its facets (pairwise incomparable maximal faces)."""
 
-    __slots__ = ("labels", "facets", "_index", "_fverts")
+    __slots__ = ("labels", "facets", "_index")
 
     def __init__(self, labels: Sequence[str], facets: Iterable[Iterable[int]]):
         self.labels = tuple(labels)
@@ -72,7 +74,6 @@ class Complex:
         self.facets = tuple(f for f in ordered
                             if len(f) == longest or len(_holders(index, f)) == 1)
         self._index = index if len(self.facets) == len(ordered) else _facet_index(self.facets, n)
-        self._fverts: Optional[List[int]] = None
 
     @property
     def vertex_count(self) -> int:
@@ -90,24 +91,42 @@ class Complex:
             return False
         return bool(_holders(self._index, face))
 
-    def cofacet_vertices(self, face: Sequence[int]) -> int:
-        """Bitmask of the vertices v not in `face` with face + (v,) a face.
+    def cofacet_vertices(self, face: Sequence[int]) -> List[int]:
+        """The vertices v not in `face` with face + (v,) a face, ascending.
 
-        That is the union of the facets containing `face`, minus `face`; it
-        is 0 when `face` is not a face.
+        That is the union of the facets containing `face`, minus `face`: with
+        one such facet, just its vertices outside `face`. It is empty when
+        `face` is not a face.
         """
-        if self._fverts is None:
-            self._fverts = [sum(1 << v for v in f) for f in self.facets]
         n = len(self.labels)
-        own = 0
-        for v in face:
-            if not 0 <= v < n:
-                return 0
-            own |= 1 << v
-        out = 0
-        for j in (_holders(self._index, face) if face else range(len(self.facets))):
-            out |= self._fverts[j]
-        return out & ~own
+        if not all(0 <= v < n for v in face):
+            return []
+        held = _holders(self._index, face) if face else range(len(self.facets))
+        if len(held) == 1:
+            (j,) = held
+            return [v for v in self.facets[j] if v not in face]
+        verts: Set[int] = set()
+        for j in held:
+            verts.update(self.facets[j])
+        return sorted(verts.difference(face))
+
+    def least_cofacet_vertex(self, face: Face) -> Optional[int]:
+        """The first of `cofacet_vertices(face)` without listing them; None if there is none.
+
+        `face` is sorted, with its vertices in range. A facet holding `face`
+        agrees with it up to the first position where the two differ, and
+        its vertex there is its least vertex outside `face`. A lex-lesser
+        holder differs no later and there has a vertex no larger, so only
+        the lex-least holder is scanned: the least id, as `facets` is sorted.
+        """
+        held = _holders(self._index, face) if face else range(len(self.facets))
+        if not held:
+            return None
+        f = self.facets[min(held)]
+        i = 0
+        while i < len(face) and f[i] == face[i]:
+            i += 1
+        return f[i] if i < len(f) else None
 
     def face_count_estimate(self, dim: int) -> int:
         """Upper bound (before dedup) on the number of faces of one dimension."""

@@ -7,11 +7,13 @@ by leading bit. Brute-force Betti numbers reduce ∂₁ this way, since its
 columns have one bit per vertex. Every boundary above it, up to the one
 whose faces are never listed, is ranked through its transpose, the
 coboundary, one level at a time: faces paired one level down are skipped,
-the pivots found are the faces the next level skips, and a column is built
-only where two pivots collide.
+the pivots found are the faces the next level skips. A column's pivot is
+read off its face's least cofacet vertex, and the column itself is built,
+from the face's sorted cofacet vertices, only where two pivots collide.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import accumulate, takewhile
@@ -202,12 +204,14 @@ def _reduce_coboundary(C: Complex, faces: List[Face],
     Vejdemo-Johansson, 2011), so a face whose code is in `skip` (one paired
     one level down) has a coboundary column that reduces to zero and is
     skipped (clearing; Chen & Kerber, 2011). As in Bauer's Ripser (2021), a
-    column whose pivot is unclaimed is kept as its face alone; a column is
-    built only on a collision, as the ascending codes of its cofacets, and
-    reduced in a heap where equal codes cancel in pairs.
+    column whose pivot is unclaimed is kept as its face alone: the pivot is
+    face + (v,) for the least cofacet vertex v, coded by inserting the digit
+    v where it sorts. A column is built only on a collision, from the sorted
+    cofacet vertices, and reduced in a heap where equal codes cancel in pairs.
     """
     base, k = C.vertex_count, len(faces[0])
     powers = [base ** i for i in range(k + 1)]
+    least = C.least_cofacet_vertex
 
     def code(face: Face) -> int:
         c = 0
@@ -215,18 +219,21 @@ def _reduce_coboundary(C: Complex, faces: List[Face],
             c = c * base + x
         return c
 
-    def cofaces(face: Face, c: int, m: int) -> List[int]:
-        """Codes of face + (v,) for the vertices v in the mask m, ascending; c is face's code."""
-        out = []
-        pos = 0
-        while m:
-            low = m & -m
-            m ^= low
-            v = low.bit_length() - 1
-            while pos < k and face[pos] < v:
-                pos += 1
-            w = powers[k - pos]
-            out.append((c // w * base + v) * w + c % w)
+    def cofaces(face: Face, c: int) -> List[int]:
+        """Codes of face + (v,) for the cofacet vertices v, ascending; c is face's code.
+
+        The vertices between face[p-1] and face[p] become digit p, so each
+        such run maps to codes a + v*w for one a and w, above the run before.
+        """
+        verts = C.cofacet_vertices(face)
+        out: List[int] = []
+        lo = 0
+        for p in range(k + 1):
+            hi = bisect_left(verts, face[p], lo) if p < k else len(verts)
+            w = powers[k - p]
+            a = c // w * base * w + c % w
+            out += [a + v * w for v in verts[lo:hi]]
+            lo = hi
         return out
 
     owner: Dict[int, Union[Face, List[int]]] = {}  # pivot -> its face, or its reduced column
@@ -234,19 +241,20 @@ def _reduce_coboundary(C: Complex, faces: List[Face],
         c = code(face)
         if c in skip:
             continue
-        m = C.cofacet_vertices(face)
-        if not m:
+        v = least(face)
+        if v is None:
             continue
-        pivot = cofaces(face, c, m & -m)[0]
+        w = powers[k - bisect_left(face, v)]
+        pivot = c // w * base * w + v * w + c % w
         held = owner.get(pivot)
         if held is None:
             owner[pivot] = face
             continue
-        work = cofaces(face, c, m)  # ascending, so already a heap
+        work = cofaces(face, c)  # ascending, so already a heap
         heappop(work)
         while held is not None:
             if isinstance(held, tuple):
-                held = owner[pivot] = cofaces(held, code(held), C.cofacet_vertices(held))
+                held = owner[pivot] = cofaces(held, code(held))
             for x in held[1:]:
                 heappush(work, x)
             pivot = _pop_pivot(work)

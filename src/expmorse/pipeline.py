@@ -461,10 +461,16 @@ def _check_delta_bruteforce(n: int) -> bool:
 _NC_MAX_FACES = 2_250_000
 
 
+@lru_cache(maxsize=None)
+def _nc_betti(n: int) -> BettiTable:
+    """Brute-force Betti numbers of NC within the face budget; NC itself is not kept."""
+    NC = neighborhood_complex(fold_core_exponential(n + 1, n))
+    return betti_bounded(NC, NC.dim, max_faces=_NC_MAX_FACES)
+
+
 def _check_nc_bruteforce(n: int) -> List[Tuple[str, bool]]:
     bt = _morse_homology(n)[1]
-    NC = neighborhood_complex(fold_core_exponential(n + 1, n))
-    nb = betti_bounded(NC, NC.dim, max_faces=_NC_MAX_FACES)
+    nb = _nc_betti(n)
     ok = nb.agrees_with(bt) and all(v == 0 for v in nb.betti[bt.max_verified_dim + 1:])
     return [(f"betti-ncomplex-bruteforce-dims-0-{nb.max_verified_dim}", ok)]
 

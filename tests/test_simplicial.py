@@ -93,9 +93,18 @@ def test_cofacet_vertices_against_contains(facets, extra):
     C = Complex([str(i) for i in range(8)], facets)
     faces = [()] + sorted(_brute_faces(C)) + [tuple(sorted(set(extra)))]
     for face in faces:
-        want = sum(1 << v for v in range(8)
-                   if v not in face and C.contains(face + (v,)))
+        want = [v for v in range(8) if v not in face and C.contains(face + (v,))]
         assert C.cofacet_vertices(face) == want, face
+
+
+@settings(max_examples=150)
+@given(st.lists(st.lists(st.integers(0, 9), min_size=1, max_size=7), max_size=24))
+def test_least_cofacet_vertex_is_first_cofacet_vertex(facets):
+    # every face, the empty face and the facets (which have none) included;
+    # past 8 facets a set of facet ids no longer iterates in id order
+    C = Complex([str(i) for i in range(10)], facets)
+    for face in [()] + sorted(_brute_faces(C)):
+        assert C.least_cofacet_vertex(face) == min(C.cofacet_vertices(face), default=None), face
 
 
 def test_free_pair_oracle():
@@ -215,7 +224,8 @@ def test_facet_index_against_bitmask_oracle(facets, queries, seed):
     assert C.facets == O.facets
     for face in [()] + sorted(_brute_faces(C)) + [tuple(q) for q in queries]:
         assert C.contains(face) == O.contains(face), face
-        assert C.cofacet_vertices(face) == O.cofacet_vertices(face), face
+        mask = O.cofacet_vertices(face)
+        assert C.cofacet_vertices(face) == [v for v in range(8) if mask >> v & 1], face
     # a chain of up to four steps, each drawn from the oracle's complex as it stands
     steps, state = [], O
     while state is not None and len(steps) < 4:
