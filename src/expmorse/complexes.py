@@ -11,6 +11,7 @@ as a sorted list, and the least of them from one scan of each such facet.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from math import comb
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -98,13 +99,15 @@ class Complex:
         one such facet, just its vertices outside `face`. It is empty when
         `face` is not a face.
         """
-        n = len(self.labels)
-        if not all(0 <= v < n for v in face):
+        if face and (min(face) < 0 or max(face) >= len(self.labels)):
             return []
         held = _holders(self._index, face) if face else range(len(self.facets))
         if len(held) == 1:
             (j,) = held
-            return [v for v in self.facets[j] if v not in face]
+            verts = list(self.facets[j])
+            for v in set(face):
+                verts.remove(v)
+            return verts
         verts: Set[int] = set()
         for j in held:
             verts.update(self.facets[j])
@@ -129,8 +132,12 @@ class Complex:
         return f[i] if i < len(f) else None
 
     def face_count_estimate(self, dim: int) -> int:
-        """Upper bound (before dedup) on the number of faces of one dimension."""
-        return sum(comb(len(f), dim + 1) for f in self.facets)
+        """Upper bound (before dedup) on the number of faces of one dimension.
+
+        It is the sum over facets of comb(len(facet), dim + 1), taken once per
+        facet size.
+        """
+        return sum(m * comb(size, dim + 1) for size, m in Counter(map(len, self.facets)).items())
 
     def iter_faces_of_dim(self, dim: int) -> Iterator[Face]:
         """Every face of one dimension, each once, in lex order: the sorted set of facet subsets."""
@@ -256,9 +263,12 @@ def delta_facet_families(n: int) -> Dict[str, List[Face]]:
     return {"M1": sorted(m1), "A1": sorted(a1), "A2": sorted(a2), "A3": sorted(a3)}
 
 
-def build_delta(n: int) -> Complex:
-    """The collapsed model itself, built directly from its facet families."""
-    fams = delta_facet_families(n)
+def build_delta(n: int, families: Optional[Dict[str, List[Face]]] = None) -> Complex:
+    """The collapsed model itself, built directly from its facet families.
+
+    `families` is `delta_facet_families(n)`, listed afresh unless given.
+    """
+    fams = delta_facet_families(n) if families is None else families
     labels = [v.label() for v in core_vertices(n + 1, n)]
     return Complex(labels, [f for fam in fams.values() for f in fam])
 

@@ -10,13 +10,16 @@ coboundary, one level at a time: faces paired one level down are skipped,
 the pivots found are the faces the next level skips. A column's pivot is
 read off its face's least cofacet vertex, and the column itself is built,
 from the face's sorted cofacet vertices, only where two pivots collide.
+There it is a sum of sorted runs of codes (its own cofaces and each column
+added to it), merged lazily: only the entries below the next pivot are
+read. A column that finds a fresh pivot is stored as the set XOR of the
+runs' unread tails, sorted; a column that never collided stays its face.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from dataclasses import dataclass
-from heapq import heappop, heappush
-from itertools import accumulate, takewhile
+from itertools import accumulate, count, takewhile
 from typing import (AbstractSet, Dict, Iterable, Iterator, List, Optional, Sequence, Set,
                     Tuple, Union)
 
@@ -206,8 +209,18 @@ def _reduce_coboundary(C: Complex, faces: List[Face],
     skipped (clearing; Chen & Kerber, 2011). As in Bauer's Ripser (2021), a
     column whose pivot is unclaimed is kept as its face alone: the pivot is
     face + (v,) for the least cofacet vertex v, coded by inserting the digit
-    v where it sorts. A column is built only on a collision, from the sorted
-    cofacet vertices, and reduced in a heap where equal codes cancel in pairs.
+    v where it sorts.
+
+    Only a column whose pivot collides is built. It is held as a sum of
+    runs: sorted, duplicate-free code lists read from the front, the face's
+    own cofaces first and then each column added to it, past the pivot they
+    share. The runs stay sorted by their heads, so the next pivot is the
+    least head held by an odd number of runs, and only the entries below it,
+    which cancel in pairs, are read. A held column kept as its face is
+    rebuilt from its cofaces each time, never stored. On a fresh pivot the
+    column is stored as the pivot followed by the sorted set XOR of the
+    runs' unread tails: each run holds a code at most once, so the XOR
+    leaves exactly the codes of odd multiplicity.
     """
     base, k = C.vertex_count, len(faces[0])
     powers = [base ** i for i in range(k + 1)]
@@ -223,17 +236,21 @@ def _reduce_coboundary(C: Complex, faces: List[Face],
         """Codes of face + (v,) for the cofacet vertices v, ascending; c is face's code.
 
         The vertices between face[p-1] and face[p] become digit p, so each
-        such run maps to codes a + v*w for one a and w, above the run before.
+        such stretch maps to codes a + v*w for one a and w, above the stretch
+        before; the vertices above the face become the last digit (w = 1).
         """
         verts = C.cofacet_vertices(face)
         out: List[int] = []
         lo = 0
-        for p in range(k + 1):
-            hi = bisect_left(verts, face[p], lo) if p < k else len(verts)
-            w = powers[k - p]
-            a = c // w * base * w + c % w
-            out += [a + v * w for v in verts[lo:hi]]
-            lo = hi
+        for p in range(k):
+            hi = bisect_left(verts, face[p], lo)
+            if hi > lo:
+                w = powers[k - p]
+                a = c // w * base * w + c % w
+                out += [a + v * w for v in verts[lo:hi]]
+                lo = hi
+        a = c * base
+        out += [a + v for v in verts[lo:]]
         return out
 
     owner: Dict[int, Union[Face, List[int]]] = {}  # pivot -> its face, or its reduced column
@@ -250,44 +267,53 @@ def _reduce_coboundary(C: Complex, faces: List[Face],
         if held is None:
             owner[pivot] = face
             continue
-        work = cofaces(face, c)  # ascending, so already a heap
-        heappop(work)
-        while held is not None:
-            if isinstance(held, tuple):
-                held = owner[pivot] = cofaces(held, code(held))
-            for x in held[1:]:
-                heappush(work, x)
-            pivot = _pop_pivot(work)
+        # (head, tag, rest) sorted by head; distinct tags keep the iterators uncompared
+        runs: List[Tuple[int, int, Iterator[int]]] = []
+        _add_run(runs, cofaces(face, c), 0)
+        for tag in count(1):
+            _add_run(runs, cofaces(held, code(held)) if isinstance(held, tuple) else held, tag)
+            pivot = _next_pivot(runs)
             if pivot is None:
                 break
             held = owner.get(pivot)
-        else:
-            owner[pivot] = [pivot] + _odd_entries(work)
+            if held is None:
+                tails: Set[int] = set()
+                for head, _, rest in runs:
+                    tails ^= {head, *rest}
+                owner[pivot] = [pivot] + sorted(tails)
+                break
     return owner
 
 
-def _pop_pivot(heap: List[int]) -> Optional[int]:
-    """Pop the least entry of odd multiplicity and the cancelled pairs below it."""
-    while heap:
-        c = heappop(heap)
-        odd = True
-        while heap and heap[0] == c:
-            heappop(heap)
+def _add_run(runs: List[Tuple[int, int, Iterator[int]]], column: Sequence[int],
+             tag: int) -> None:
+    """Add a column to the sum, past its pivot, which the sum has just cancelled."""
+    rest = iter(column)
+    next(rest)
+    head = next(rest, None)
+    if head is not None:
+        insort(runs, (head, tag, rest))
+
+
+def _next_pivot(runs: List[Tuple[int, int, Iterator[int]]]) -> Optional[int]:
+    """Read past the least head held by an odd number of runs, and return it.
+
+    `runs` is sorted by head; the heads below it are held by an even number
+    of runs, cancel in pairs and are read past too. None when every run is
+    exhausted.
+    """
+    while runs:
+        least = runs[0][0]
+        odd = False
+        while runs and runs[0][0] == least:
+            _, tag, rest = runs.pop(0)
+            head = next(rest, None)
+            if head is not None:
+                insort(runs, (head, tag, rest))
             odd = not odd
         if odd:
-            return c
+            return least
     return None
-
-
-def _odd_entries(heap: List[int]) -> List[int]:
-    """The entries of odd multiplicity, ascending."""
-    out: List[int] = []
-    for c in sorted(heap):
-        if out and out[-1] == c:
-            out.pop()
-        else:
-            out.append(c)
-    return out
 
 
 def betti_of_chain(boundaries: Sequence[Gf2Matrix]) -> BettiTable:

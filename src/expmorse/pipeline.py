@@ -45,8 +45,14 @@ def _core(n: int) -> Tuple[Tuple[FnVertex, ...], Dict[Tuple[int, ...], int]]:
 
 
 @lru_cache(maxsize=None)
+def _delta_build(n: int) -> Tuple[Complex, Tuple[Tuple[str, int], ...]]:
+    """The collapsed model and the size of each facet family, from one pass over the families."""
+    fams = delta_facet_families(n)
+    return build_delta(n, fams), tuple((k, len(v)) for k, v in fams.items())
+
+
 def _delta(n: int) -> Complex:
-    return build_delta(n)
+    return _delta_build(n)[0]
 
 
 @lru_cache(maxsize=None)
@@ -142,9 +148,8 @@ def _morse_homology(n: int) -> Tuple[int, BettiTable]:
     return chain[1].rank(), betti_of_chain(chain)
 
 
-@lru_cache(maxsize=None)
 def _facet_counts(n: int) -> Tuple[Tuple[str, int], ...]:
-    return tuple((k, len(v)) for k, v in delta_facet_families(n).items())
+    return _delta_build(n)[1]
 
 
 @lru_cache(maxsize=None)

@@ -15,8 +15,8 @@ from expmorse.complexes import DEFAULT_MAX_FACES, Complex, build_delta, neighbor
 from expmorse.errors import InvalidArgumentError, InvalidChainError, ResourceLimitError
 from expmorse.gf2 import (BettiTable, Gf2Matrix, _reduce_coboundary, betti_bounded,
                           betti_of_chain, rank_gf2, rank_of_bitsets)
-from expmorse.graphs import complete_graph, cycle_graph
-from oracles import boundary_matrix, identity_matrix, zero_matrix
+from expmorse.graphs import complete_graph, cycle_graph, fold_core_exponential
+from oracles import boundary_matrix, heap_reduce_coboundary, identity_matrix, zero_matrix
 
 
 def _naive_rank(dense):
@@ -281,18 +281,49 @@ def test_cleared_coboundary_pairs_as_dense_reduction(facets):
         skip = pivots
 
 
-def test_delta6_brute_force_memory():
-    # the coboundary reductions keep a pivot per paired face, not a dense
-    # basis: Δ(6)'s ∂₂ alone once kept 45,374 pivots of up to 50,421 bits.
-    # Nor does the complex keep a V-bit vertex mask per facet: those cost
-    # another 20 MB here, and the rise is about 10 MB without them.
+def _reduces_as_heap_oracle(C, top):
+    """Reduce the coboundary on levels 1..top both ways; the number of columns stored.
+
+    Each level must give the oracle's pivots, and every column it stores
+    must be the oracle's, strictly ascending from its pivot.
+    """
+    levels = [list(C.iter_faces_of_dim(d)) for d in range(top + 1)]
+    skip = {_code(levels[1][j], C.vertex_count)
+            for j in _independent_columns(boundary_matrix(C, 1).cols)}
+    stored = 0
+    for k in range(1, top + 1):
+        got = _reduce_coboundary(C, levels[k], skip)
+        want = heap_reduce_coboundary(C, levels[k], skip)
+        assert set(got) == set(want), k
+        for pivot, col in got.items():
+            if isinstance(col, list):
+                assert col == want[pivot], (k, pivot)
+                assert col[0] == pivot and all(a < b for a, b in zip(col, col[1:])), (k, pivot)
+                stored += 1
+        skip = set(got)
+    return stored
+
+
+@settings(max_examples=60)
+@given(st.lists(st.lists(st.integers(0, 13), min_size=4, max_size=9, unique=True),
+                min_size=4, max_size=12))
+def test_coboundary_runs_against_heap_oracle(facets):
+    # facets this large on 14 labels collide for several steps per column
+    C = Complex([str(i) for i in range(14)], facets)
+    _reduces_as_heap_oracle(C, C.dim)
+
+
+def test_nc4_coboundary_runs_against_heap_oracle():
+    NC = neighborhood_complex(fold_core_exponential(5, 4))
+    assert _reduces_as_heap_oracle(NC, 3) == 95  # all of them in the ∂₂ pass
+
+
+def _rss_rise(setup, call):
+    """Run `setup`, then print `call` and the ru_maxrss rise (KB) it caused, in a fresh process."""
     pytest.importorskip("resource")
-    code = ("import resource\n"
-            "from expmorse.complexes import build_delta\n"
-            "from expmorse.gf2 import betti_bounded\n"
-            "C = build_delta(6)\n"
+    code = ("import resource\n" + setup + "\n"
             "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-            "print(betti_bounded(C, 5).betti)\n"
+            f"print({call})\n"
             "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -300,9 +331,35 @@ def test_delta6_brute_force_memory():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
-    betti, rise_kb = proc.stdout.splitlines()
+    out, rise_kb = proc.stdout.splitlines()
+    return out, int(rise_kb)  # ru_maxrss counts KB on Linux
+
+
+def test_delta6_brute_force_memory():
+    # the coboundary reductions keep a pivot per paired face, not a dense
+    # basis: Δ(6)'s ∂₂ alone once kept 45,374 pivots of up to 50,421 bits.
+    # Nor does the complex keep a V-bit vertex mask per facet: those cost
+    # another 20 MB here, and the rise is about 10 MB without them.
+    betti, rise_kb = _rss_rise("from expmorse.complexes import build_delta\n"
+                               "from expmorse.gf2 import betti_bounded\n"
+                               "C = build_delta(6)",
+                               "betti_bounded(C, 5).betti")
     assert betti == "(1, 1, 10081, 0, 0, 1)"
-    assert int(rise_kb) < 20 * 1024  # ru_maxrss counts KB on Linux
+    assert rise_kb < 20 * 1024
+
+
+def test_nc5_brute_force_memory():
+    # NC(5)'s ∂₂ pass stores only its 599 reduced columns: the 11,939
+    # apparent columns that collide are rebuilt from their faces each time.
+    # Kept as code lists, they made this rise 48 MB; it is about 20 MB without.
+    betti, rise_kb = _rss_rise("from expmorse.complexes import neighborhood_complex\n"
+                               "from expmorse.gf2 import betti_bounded\n"
+                               "from expmorse.graphs import fold_core_exponential\n"
+                               "from expmorse.pipeline import _NC_MAX_FACES\n"
+                               "NC = neighborhood_complex(fold_core_exponential(6, 5))",
+                               "betti_bounded(NC, NC.dim, max_faces=_NC_MAX_FACES).betti")
+    assert betti == "(1, 1)"
+    assert rise_kb < 30 * 1024
 
 
 def test_betti_of_chain_rejects_bad_chains():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from expmorse import complexes, pipeline
 from expmorse.complexes import (Complex, _free_family_steps, build_delta,
                                 complex_to_json, delta_facet_families,
                                 delta_via_collapse, neighborhood_complex)
@@ -66,6 +67,29 @@ def test_face_count_estimate_upper_bounds_actual():
     C = build_delta(3)
     for d in range(C.dim + 1):
         assert C.face_count_estimate(d) >= len(list(C.iter_faces_of_dim(d)))
+
+
+@settings(max_examples=100)
+@given(st.lists(st.lists(st.integers(0, 11), min_size=1, max_size=9), max_size=12),
+       st.integers(0, 10))
+def test_face_count_estimate_is_the_per_facet_sum(facets, dim):
+    C = Complex([str(i) for i in range(12)], facets)
+    assert C.face_count_estimate(dim) == sum(math.comb(len(f), dim + 1) for f in C.facets)
+
+
+def test_delta_and_its_family_sizes_come_from_one_family_pass(monkeypatch):
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return delta_facet_families(n)
+
+    for module in (pipeline, complexes):
+        monkeypatch.setattr(module, "delta_facet_families", counted)
+    delta, sizes = pipeline._delta_build.__wrapped__(4)  # past the cache
+    assert calls == [4]
+    assert delta == build_delta(4)
+    assert sizes == tuple((k, len(v)) for k, v in delta_facet_families(4).items())
 
 
 def test_faces_budget_enforced():
