@@ -56,7 +56,7 @@ def _facet_index(facets: Sequence[Face], n: int) -> List[Set[int]]:
 class Complex:
     """A simplicial complex given by its facets (pairwise incomparable maximal faces)."""
 
-    __slots__ = ("labels", "facets", "_index")
+    __slots__ = ("labels", "facets", "_index", "_sizes")
 
     def __init__(self, labels: Sequence[str], facets: Iterable[Iterable[int]]):
         self.labels = tuple(labels)
@@ -75,6 +75,8 @@ class Complex:
         self.facets = tuple(f for f in ordered
                             if len(f) == longest or len(_holders(index, f)) == 1)
         self._index = index if len(self.facets) == len(ordered) else _facet_index(self.facets, n)
+        # (facet size, facet count), ascending by size: what dim and the face estimates read
+        self._sizes = tuple(sorted(Counter(map(len, self.facets)).items()))
 
     @property
     def vertex_count(self) -> int:
@@ -82,7 +84,7 @@ class Complex:
 
     @property
     def dim(self) -> int:
-        return max((len(f) for f in self.facets), default=0) - 1
+        return self._sizes[-1][0] - 1 if self._sizes else -1
 
     def contains(self, face: Sequence[int]) -> bool:
         face = tuple(sorted(set(face)))
@@ -137,7 +139,7 @@ class Complex:
         It is the sum over facets of comb(len(facet), dim + 1), taken once per
         facet size.
         """
-        return sum(m * comb(size, dim + 1) for size, m in Counter(map(len, self.facets)).items())
+        return sum(m * comb(size, dim + 1) for size, m in self._sizes)
 
     def iter_faces_of_dim(self, dim: int) -> Iterator[Face]:
         """Every face of one dimension, each once, in lex order: the sorted set of facet subsets."""
@@ -155,10 +157,9 @@ class Complex:
         top = min(maxdim, self.dim)
         for total in itertools.accumulate(map(self.face_count_estimate, range(top + 1))):
             if total > DEFAULT_MAX_FACES:
-                big = max((len(f) for f in self.facets), default=0)
                 raise ResourceLimitError(
                     f"enumerating faces up to dim {maxdim} needs at least {total} "
-                    f"steps (largest facet has {big} vertices), over the bound "
+                    f"steps (largest facet has {self.dim + 1} vertices), over the bound "
                     f"{DEFAULT_MAX_FACES}", bound=DEFAULT_MAX_FACES)
         return ([list(self.iter_faces_of_dim(d)) for d in range(top + 1)]
                 + [[] for _ in range(maxdim - top)])

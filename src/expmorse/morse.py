@@ -2,14 +2,14 @@
 
 A matching pairs a cell with a cofacet; acyclic matchings induce a chain
 complex on the critical cells whose boundary entries count alternating
-descent paths mod 2. One memoized walk of the descent relation computes
-those parities and certifies that the matching is acyclic.
+descent paths mod 2. A DescentCache holds the one memoized walk of a
+matching's descent relation: the acyclicity certificate, the boundary
+supports and the cells on alternating paths all read that one memo.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (Callable, Dict, FrozenSet, List, Optional, Sequence, Set,
-                    Tuple, TypeVar)
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .complexes import Complex, Face
 from .errors import InternalConsistencyError
@@ -28,8 +28,6 @@ __all__ = [
     "path_cells",
     "morse_boundaries",
 ]
-
-T = TypeVar("T")
 
 
 def _subfaces(cell: Face) -> List[Face]:
@@ -145,23 +143,42 @@ def critical_cells(P: FacePoset, M: Matching) -> CriticalSet:
         for d in range(P.dim + 1)))
 
 
-def _descent_walk(M: Matching, leaf: Callable[[Face], T],
-                  combine: Callable[[List[T]], T]) -> Callable[[Face], T]:
-    """Memoized post-order walk down the descent relation of a matching.
+def _xor(supports: Iterable[FrozenSet[Face]]) -> FrozenSet[Face]:
+    acc: Set[Face] = set()
+    for s in supports:
+        acc ^= s
+    return frozenset(acc)
 
-    The value of a cell with no cofacet partner is leaf(cell); a matched
-    lower cell x combines the values of the other facets of its partner.
-    Iterative, so path length is not bounded by the recursion limit: the
-    walk keeps the path it is expanding as (cell, kids) frames and descends
-    into one missing kid at a time. Meeting a cell on that path again closes
-    a cycle, so the matching is cyclic; the InternalConsistencyError raised
-    then carries the alternating cycle (lower, upper, ..., the first lower
-    again) as its `cycle` attribute.
+
+class DescentCache:
+    """The descent of one matching, walked once and memoized.
+
+    For a cell x, sets(x) is the set of critical cells of the same dimension
+    reachable from x by descent with odd path count: a critical cell reaches
+    itself, an upper cell nothing, and a matched lower cell x the XOR over
+    the other facets of its partner. A cell is productive when some descent
+    from it ends in a critical cell, odd count or not: when its set is
+    nonempty, or when each critical cell it reaches is reached an even
+    number of times, which the same walk records. The boundary support of a
+    critical cell is the XOR of its facets' sets, which includes the direct
+    facet case.
+
+    The walk is iterative, so path length is not bounded by the recursion
+    limit: it keeps the path it is expanding as (cell, kids) frames and
+    descends into one missing kid at a time. Meeting a cell on that path
+    again closes a cycle, so the matching is cyclic; the
+    InternalConsistencyError raised then carries the alternating cycle
+    (lower, upper, ..., the first lower again) as its `cycle` attribute.
     """
-    pairs = M.pairs
-    memo: Dict[Face, T] = {}
 
-    def value(cell: Face) -> T:
+    def __init__(self, M: Matching):
+        self.pairs = M.pairs
+        self.upper = M.reverse()
+        self._memo: Dict[Face, FrozenSet[Face]] = {}
+        self._cancelled: Set[Face] = set()  # productive cells with an empty set
+
+    def sets(self, cell: Face) -> FrozenSet[Face]:
+        pairs, upper, memo, cancelled = self.pairs, self.upper, self._memo, self._cancelled
         path: List[Tuple[Face, List[Face]]] = []
         depth: Dict[Face, int] = {}  # cell -> its frame on the path
         x: Optional[Face] = cell
@@ -169,7 +186,7 @@ def _descent_walk(M: Matching, leaf: Callable[[Face], T],
             if x is not None and x not in memo:
                 up = pairs.get(x)
                 if up is None:
-                    memo[x] = leaf(x)
+                    memo[x] = frozenset() if x in upper else frozenset((x,))
                 elif x in depth:
                     err = InternalConsistencyError(
                         f"descent from {x} depends on itself; matching is cyclic")
@@ -184,64 +201,41 @@ def _descent_walk(M: Matching, leaf: Callable[[Face], T],
             top, kids = path[-1]
             x = next((y for y in kids if y not in memo), None)
             if x is None:
-                memo[top] = combine([memo[y] for y in kids])
+                memo[top] = s = _xor(memo[y] for y in kids)
+                if not s and any(memo[y] or y in cancelled for y in kids):
+                    cancelled.add(top)
                 del depth[top]
                 path.pop()
 
-    return value
+    def productive(self, cell: Face) -> bool:
+        return bool(self.sets(cell)) or cell in self._cancelled
+
+    def boundary_support(self, tau: Face) -> FrozenSet[Face]:
+        return _xor(self.sets(y) for y in _subfaces(tau))
 
 
-def is_acyclic(M: Matching) -> AcyclicityResult:
+def is_acyclic(cache: DescentCache) -> AcyclicityResult:
     """Check the matched digraph (up along pairs, down to other facets) for cycles.
 
     A directed cycle must alternate up and down moves through matched pairs,
     so it suffices to walk the descent relation from every matched lower
     cell. On failure the full alternating cell cycle is returned.
     """
-    walk = _descent_walk(M, lambda x: None, lambda kids: None)
     try:
-        for x in M.pairs:
-            walk(x)
+        for x in cache.pairs:
+            cache.sets(x)
     except InternalConsistencyError as exc:
         return AcyclicityResult(False, exc.cycle)
     return AcyclicityResult(True, None)
 
 
-def _xor(supports: List[FrozenSet[Face]]) -> FrozenSet[Face]:
-    acc: Set[Face] = set()
-    for s in supports:
-        acc ^= s
-    return frozenset(acc)
-
-
-class DescentCache:
-    """Memoized alternating-descent supports for a fixed acyclic matching.
-
-    For a cell x, sets(x) is the set of critical cells of the same dimension
-    reachable from x by descent with odd path count. The boundary support of
-    a critical cell is the XOR of its facets' sets, which includes the
-    direct facet case.
-    """
-
-    def __init__(self, M: Matching):
-        upper = M.reverse()
-        self.sets = _descent_walk(
-            M, lambda x: frozenset() if x in upper else frozenset((x,)), _xor)
-
-    def boundary_support(self, tau: Face) -> FrozenSet[Face]:
-        return _xor([self.sets(y) for y in _subfaces(tau)])
-
-
-def path_cells(M: Matching, starts: Sequence[Face]) -> Set[Face]:
+def path_cells(cache: DescentCache, starts: Sequence[Face]) -> Set[Face]:
     """Every cell visited by some complete alternating path out of `starts`.
 
-    A lower cell is productive when some descent from it ends in a critical
-    cell; only productive branches lie on actual paths. Requires an acyclic
+    Only productive branches lie on actual paths. Requires an acyclic
     matching.
     """
-    pairs = M.pairs
-    upper = M.reverse()
-    productive = _descent_walk(M, lambda x: x not in upper, any)
+    pairs, productive = cache.pairs, cache.productive
     seen: Set[Face] = set(starts)
     agenda = [y for tau in starts for y in _subfaces(tau) if productive(y)]
     while agenda:
@@ -257,18 +251,14 @@ def path_cells(M: Matching, starts: Sequence[Face]) -> Set[Face]:
     return seen
 
 
-def morse_boundaries(P: FacePoset, M: Matching,
-                     cache: Optional[DescentCache] = None) -> List[Gf2Matrix]:
+def morse_boundaries(crit: CriticalSet, cache: DescentCache) -> List[Gf2Matrix]:
     """Boundary matrices of the critical-cell chain complex, dimensions 1..top.
 
     Rows and columns follow the critical-cell order (by dimension, then
     lexicographic). Dimensions with no critical cells yield zero-sized
     matrices so the chain stays index-aligned.
     """
-    crit = critical_cells(P, M)
-    counts = crit.counts
-    top = max((d for d, c in enumerate(counts) if c), default=0)
-    cache = cache or DescentCache(M)
+    top = max((d for d, c in enumerate(crit.counts) if c), default=0)
     mats = []
     for d in range(1, top + 1):
         lows = crit.cells(d - 1)

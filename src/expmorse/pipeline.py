@@ -133,18 +133,19 @@ def _critical(n: int) -> CriticalSet:
 
 @lru_cache(maxsize=None)
 def _descent(n: int) -> DescentCache:
+    """The one descent memo of the matching: acyclicity, supports and path cells read it."""
     return DescentCache(build_matching_mu(n))
 
 
 @lru_cache(maxsize=None)
 def _acyclicity(n: int) -> AcyclicityResult:
-    return is_acyclic(build_matching_mu(n))
+    return is_acyclic(_descent(n))
 
 
 @lru_cache(maxsize=None)
 def _morse_homology(n: int) -> Tuple[int, BettiTable]:
     """Rank of the Morse ∂₂ and the Betti numbers of the Morse chain complex."""
-    chain = morse_boundaries(delta_poset(n), build_matching_mu(n), _descent(n))
+    chain = morse_boundaries(_critical(n), _descent(n))
     return chain[1].rank(), betti_of_chain(chain)
 
 
@@ -277,8 +278,7 @@ def _check_two_path_targets(n: int) -> bool:
 
 def _check_paths_avoid_base(n: int) -> bool:
     starts = _injective_triangles(_critical(n), n)
-    return all(cell[0] != 0
-               for cell in path_cells(build_matching_mu(n), starts))
+    return all(cell[0] != 0 for cell in path_cells(_descent(n), starts))
 
 
 def _check_wn(n: int) -> bool:

@@ -18,8 +18,8 @@ from expmorse.gf2 import betti_bounded, rank_gf2
 from expmorse.graphs import (Graph, complete_graph, core_vertices, cycle_graph,
                              fold_core_exponential, fold_reduce, find_fold)
 from expmorse.homc import enumerate_hom_cells, order_complex_of_hom
-from expmorse.morse import (Matching, critical_cells, face_poset, is_acyclic,
-                            morse_boundaries)
+from expmorse.morse import (DescentCache, Matching, critical_cells, face_poset,
+                            is_acyclic, morse_boundaries)
 from expmorse.pipeline import (build_matching_mu, closed_form_critical,
                                corollary1_report, delta_poset,
                                incidence_matrix_A, wn_transposition_ordering)
@@ -121,10 +121,10 @@ def test_a06_two_path_structure_exhaustive(n):
 
 def test_a07_acyclicity_certificates():
     for n in (3, 4, 5):
-        assert is_acyclic(build_matching_mu(n)).acyclic
+        assert is_acyclic(DescentCache(build_matching_mu(n))).acyclic
     square = Complex(list("abcd"), [(0, 1), (1, 2), (2, 3), (0, 3)])
     bad = Matching({(0,): (0, 1), (1,): (1, 2), (2,): (2, 3), (3,): (0, 3)})
-    res = is_acyclic(bad)
+    res = is_acyclic(DescentCache(bad))
     assert not res.acyclic and res.cycle is not None
     assert res.cycle[0] == res.cycle[-1] and len(res.cycle) >= 5
     print(f"\n[PASS] matchings certified acyclic for n=3,4,5; cyclic fixture "
@@ -207,7 +207,8 @@ def test_a10_lovasz_consistency_corpus():
 
 
 def test_a11a_boundary_squares_to_zero():
-    chains = [morse_boundaries(delta_poset(n), build_matching_mu(n))
+    chains = [morse_boundaries(critical_cells(delta_poset(n), build_matching_mu(n)),
+                               DescentCache(build_matching_mu(n)))
               for n in (3, 4, 5)]
     for C in [build_delta(3), neighborhood_complex(cycle_graph(6)),
               order_complex_of_hom(

@@ -3,9 +3,9 @@
 No linter is installed, so these checks stand in for one: every import of a
 module is used in that module or re-exported through its `__all__` (the
 package's `__init__` imports only to re-export), every module-level private
-function is referenced somewhere in the package, and every method or
-property of a package class is referenced somewhere in the package, the
-tests or the benchmark.
+function is referenced somewhere in the package, every method or property
+of a package class is referenced somewhere in the package, the tests or the
+benchmark, and every parameter of a function or lambda is read in its body.
 """
 from __future__ import annotations
 
@@ -71,3 +71,20 @@ def test_every_method_is_referenced():
                     for item in node.body if isinstance(item, ast.FunctionDef)
                     and not item.name.startswith("__") and item.name not in used]
     assert unreferenced == []
+
+
+def test_every_parameter_is_read():
+    unread = []
+    for name, tree in TREES.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                continue
+            a = node.args
+            params = [*a.posonlyargs, *a.args, *a.kwonlyargs,
+                      *(p for p in (a.vararg, a.kwarg) if p is not None)]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread.extend(f"{name}:{node.lineno} {getattr(node, 'name', 'lambda')}({p.arg})"
+                          for p in params if p.arg not in ("self", "cls") and p.arg not in read)
+    assert unread == []

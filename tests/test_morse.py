@@ -2,22 +2,32 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
+from typing import Tuple
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from expmorse.complexes import Complex, build_delta, neighborhood_complex
 from expmorse.errors import InternalConsistencyError, InvalidArgumentError
 from expmorse.gf2 import betti_bounded, betti_of_chain
 from expmorse.graphs import cycle_graph
-from expmorse.morse import (DescentCache, FacePoset, Matching, critical_cells,
-                            face_poset, is_acyclic, morse_boundaries, path_cells,
-                            validate_matching)
+from expmorse.morse import (AcyclicityResult, DescentCache, FacePoset, Matching,
+                            critical_cells, face_poset, is_acyclic, morse_boundaries,
+                            path_cells, validate_matching)
 from oracles import alternating_path_parity, dfs_acyclicity, enumerate_alternating_paths
 
 SQUARE = Complex(list("abcd"), [(0, 1), (1, 2), (2, 3), (0, 3)])
 CYCLIC_MATCHING = Matching({(0,): (0, 1), (1,): (1, 2), (2,): (2, 3), (3,): (0, 3)})
+# Both descents from (0, 1) end in (2, 3), so its support cancels to empty;
+# (0, 5) descends only to (0, 1) and to the upper cell (1, 5). Both still lie
+# on paths out of the critical triangle (0, 4, 5).
+CANCELLING = (face_poset(Complex(list("abcdef"), [(0, 1, 2), (0, 2, 3), (1, 2, 3),
+                                                  (0, 1, 5), (0, 4, 5)])),
+              Matching({(0, 1): (0, 1, 2), (0, 2): (0, 2, 3), (1, 2): (1, 2, 3),
+                        (0, 5): (0, 1, 5), (0,): (0, 3), (1,): (1, 3),
+                        (4,): (0, 4), (5,): (1, 5)}))
 
 
 def test_face_poset_structure():
@@ -44,7 +54,7 @@ def test_matching_reverse_rejects_duplicate_upper():
 
 
 def test_cyclic_fixture_rejected_with_explicit_cycle():
-    res = is_acyclic(CYCLIC_MATCHING)
+    res = is_acyclic(DescentCache(CYCLIC_MATCHING))
     assert not res.acyclic
     cyc = res.cycle
     assert cyc[0] == cyc[-1] and len(cyc) >= 5 and len(cyc) % 2 == 1
@@ -58,7 +68,7 @@ def test_cyclic_fixture_rejected_with_explicit_cycle():
     with pytest.raises(InternalConsistencyError):
         DescentCache(CYCLIC_MATCHING).sets((0,))
     with pytest.raises(InternalConsistencyError):
-        path_cells(CYCLIC_MATCHING, [(0, 1)])
+        path_cells(DescentCache(CYCLIC_MATCHING), [(0, 1)])
 
 
 def test_breaking_the_cycle_restores_acyclicity():
@@ -66,10 +76,10 @@ def test_breaking_the_cycle_restores_acyclicity():
     pairs = dict(CYCLIC_MATCHING.pairs)
     del pairs[(3,)]
     M = Matching(pairs)
-    assert is_acyclic(M).acyclic
+    assert is_acyclic(DescentCache(M)).acyclic
     crit = critical_cells(P, M)
     assert crit.counts == (1, 1)
-    chain = morse_boundaries(P, M)
+    chain = morse_boundaries(crit, DescentCache(M))
     assert betti_of_chain(chain).betti == (1, 1)
 
 
@@ -95,15 +105,15 @@ def _random_acyclic_matching(P: FacePoset, rng: random.Random) -> Matching:
             continue
         trial = dict(pairs)
         trial[low] = up
-        if is_acyclic(Matching(trial)).acyclic:
+        if is_acyclic(DescentCache(Matching(trial))).acyclic:
             pairs = trial
             used.update((low, up))
     return Matching(pairs)
 
 
 @st.composite
-def _drawn_matchings(draw) -> Matching:
-    """A matching on a small complex from a drawn prefix of its cover relations, shuffled.
+def _drawn_cases(draw) -> Tuple[FacePoset, Matching]:
+    """A small face poset and a matching on it from a drawn prefix of its cover relations, shuffled.
 
     A relation in the prefix is paired when neither of its cells is paired
     yet; nothing filters out cyclic matchings.
@@ -121,7 +131,11 @@ def _drawn_matchings(draw) -> Matching:
         if low not in used and up not in used:
             pairs[low] = up
             used.update((low, up))
-    return Matching(pairs)
+    return P, Matching(pairs)
+
+
+def _drawn_matchings() -> st.SearchStrategy[Matching]:
+    return _drawn_cases().map(lambda case: case[1])
 
 
 def _is_alternating_cycle(M: Matching, cyc) -> bool:
@@ -142,7 +156,7 @@ def test_descent_walk_cycles_against_dfs_oracle():
     @settings(max_examples=200)
     @given(_drawn_matchings())
     def check(M):
-        res = is_acyclic(M)
+        res = is_acyclic(DescentCache(M))
         assert res.acyclic == dfs_acyclicity(M).acyclic
         cache = DescentCache(M)
         raised = set()
@@ -163,6 +177,47 @@ def test_descent_walk_cycles_against_dfs_oracle():
     assert drawn[False] >= 20 and drawn[True] >= 20
 
 
+def test_descent_queries_against_path_enumeration():
+    """Path cells and boundary supports on drawn acyclic matchings, against every path listed.
+
+    Each case runs on two fresh caches, one certified acyclic before any
+    query and one queried first; both must give the oracle's answers.
+    """
+    drawn = [0]
+
+    @settings(max_examples=200)
+    @given(_drawn_cases())
+    @example(CANCELLING)
+    def check(case):
+        P, M = case
+        if not dfs_acyclicity(M).acyclic:
+            return
+        crit = critical_cells(P, M)
+        on_paths, support = {}, {}  # d -> cells on paths out of the critical d-cells
+        for d in range(1, P.dim + 1):
+            on_paths[d] = set(crit.cells(d))
+            for tau in crit.cells(d):
+                paths = enumerate_alternating_paths(M, tau)
+                on_paths[d].update(cell for path in paths for cell in path)
+                ends = Counter(path[-1] for path in paths)
+                support[tau] = frozenset(s for s, k in ends.items() if k % 2)
+        walked_first, queried_first = DescentCache(M), DescentCache(M)
+        assert is_acyclic(walked_first) == AcyclicityResult(True, None)
+        for cache in (walked_first, queried_first):
+            for d in range(1, P.dim + 1):
+                assert path_cells(cache, crit.cells(d)) == on_paths[d]
+                for tau in crit.cells(d):
+                    assert cache.boundary_support(tau) == support[tau]
+                    for sigma in crit.cells(d - 1):
+                        assert (alternating_path_parity(M, tau, sigma, cache)
+                                == (sigma in support[tau]))
+        assert is_acyclic(queried_first) == AcyclicityResult(True, None)
+        drawn[0] += 1
+
+    check()
+    assert drawn[0] >= 20
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_random_acyclic_matchings_preserve_betti(seed):
     # any acyclic matching must reproduce the brute-force homology
@@ -173,7 +228,7 @@ def test_random_acyclic_matchings_preserve_betti(seed):
     M = _random_acyclic_matching(P, rng)
     assert validate_matching(P, M) == []
     want = betti_bounded(C, C.dim).betti
-    got = betti_of_chain(morse_boundaries(P, M)).betti
+    got = betti_of_chain(morse_boundaries(critical_cells(P, M), DescentCache(M))).betti
     width = max(len(got), len(want))
     assert got + (0,) * (width - len(got)) == want + (0,) * (width - len(want))
 
@@ -197,7 +252,7 @@ def test_parity_matches_exhaustive_enumeration():
             assert alternating_path_parity(M, tau, sigma, cache) == want
         assert cache.boundary_support(tau) == frozenset(
             s for s, k in ends.items() if k % 2)
-    assert path_cells(M, crit.cells(2)) == on_paths | set(crit.cells(2))
+    assert path_cells(cache, crit.cells(2)) == on_paths | set(crit.cells(2))
 
 
 def test_parity_rejects_non_critical_or_bad_dims():
@@ -216,7 +271,7 @@ def test_morse_chain_of_delta3_gives_known_betti():
     from expmorse.pipeline import build_matching_mu, delta_poset
     P = delta_poset(3)
     M = build_matching_mu(3)
-    chain = morse_boundaries(P, M)
+    chain = morse_boundaries(critical_cells(P, M), DescentCache(M))
     assert all(a.matmul(b).is_zero() for a, b in zip(chain, chain[1:]))
     assert betti_of_chain(chain).betti == (1, 1, 14)
 

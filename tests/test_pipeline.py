@@ -10,7 +10,7 @@ from expmorse.complexes import neighborhood_complex
 from expmorse.errors import InvalidArgumentError
 from expmorse.gf2 import rank_gf2
 from expmorse.graphs import fold_core_exponential
-from expmorse.morse import critical_cells, is_acyclic, validate_matching
+from expmorse.morse import DescentCache, critical_cells, is_acyclic, validate_matching
 from expmorse.pipeline import (LEMMA_KEYS, build_matching_mu,
                                closed_form_critical, corollary1_report,
                                delta_poset, incidence_matrix_A,
@@ -24,7 +24,7 @@ def test_matching_is_valid_and_acyclic(n):
     P = delta_poset(n)
     M = build_matching_mu(n)
     assert validate_matching(P, M) == []
-    assert is_acyclic(M).acyclic
+    assert is_acyclic(DescentCache(M)).acyclic
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -115,6 +115,33 @@ def test_report_shape_and_values(timed_report3):
     assert d["betti"] == [1, 1, 14]
     assert d["acyclic"] is True
     assert rep.ok
+
+
+def _clear_pipeline_caches():
+    for fn in vars(pipeline).values():
+        if hasattr(fn, "cache_clear"):
+            fn.cache_clear()
+
+
+@pytest.mark.parametrize("run", [
+    lambda: pipeline.theorem1_report(3, include_bruteforce=False),
+    lambda: pipeline.verify_lemma(3, "all"),
+], ids=["report", "verify"])
+def test_one_descent_walk_per_run(monkeypatch, run):
+    built = []
+
+    class Counting(DescentCache):
+        def __init__(self, M):
+            built.append(M)
+            super().__init__(M)
+
+    monkeypatch.setattr(pipeline, "DescentCache", Counting)
+    _clear_pipeline_caches()
+    try:
+        run()
+    finally:
+        _clear_pipeline_caches()
+    assert len(built) == 1
 
 
 def test_verify_lemma_all_pass():
