@@ -7,6 +7,16 @@ intersects those sets, smallest first; membership, cofacets, the maximality
 filter and free-face collapses all ask it that way. Nothing else is kept per
 facet: the cofacet vertices of a face are read off the facets that hold it,
 as a sorted list, and the least of them from one scan of each such facet.
+
+`Complex.collapse` takes two step shapes against that index. An elementary
+step (face, facet) removes the faces between a free face and its facet. A
+family step (zs, xs, ys) removes at once every face of the facet
+zs + xs + ys that holds zs and two or more vertices of xs; fixing y0 in ys
+and pairing each such face t with t △ {y0} spells it out as elementary
+collapses, from the top dimension down. The collapsed model Δ is built
+directly from its four facet families (`build_delta`), and is reached from
+the neighborhood complex by three stages of family steps
+(`delta_via_collapse`), which certifies that the two are homotopy equivalent.
 """
 from __future__ import annotations
 
@@ -164,41 +174,73 @@ class Complex:
         return ([list(self.iter_faces_of_dim(d)) for d in range(top + 1)]
                 + [[] for _ in range(maxdim - top)])
 
-    def collapse(self, steps: Iterable[Tuple[Sequence[int], Optional[Sequence[int]]]]
-                 ) -> "Complex":
-        """Apply elementary collapses in order; each is checked against the complex as it stands.
+    def collapse(self, steps: Iterable[Sequence[Optional[Sequence[int]]]]) -> "Complex":
+        """Apply collapses in order; each is checked against the complex as it stands.
 
-        A step (face, facet) needs `face` to be a proper nonempty subset of
+        A step is elementary, (face, facet), or a family step, (zs, xs, ys).
+
+        An elementary step needs `face` to be a proper nonempty subset of
         `facet` and `facet` to be the only facet containing `face`; a facet
         of None means "the only facet containing face". The step removes the
         interval between them: `facet` goes, and `facet` minus each vertex of
         `face` becomes a facet unless a remaining facet already contains it.
+
+        A family step needs disjoint parts with |xs| >= 2 and ys nonempty,
+        F = zs + xs + ys to be a facet, and no other facet to contain zs
+        together with two vertices of xs. It removes every face of F that
+        holds zs and two or more vertices of xs: F goes, and zs + {x} + ys for
+        each x in xs, and F minus each z in zs, become facets unless a
+        remaining facet already contains them. This is a sequence of
+        elementary collapses: fix y0 in ys and pair each removed face t with
+        t △ {y0}, which is removed too. Only F holds the removed faces, so,
+        taken from the top dimension down, each pair (t - {y0}, t + {y0}) is
+        an elementary collapse.
         """
         n = len(self.labels)
         table = dict(enumerate(self.facets))  # id -> facet, for the facets not removed yet
         fresh = itertools.count(len(table))
         index = [set(ids) for ids in self._index]
-        for face, facet in steps:
-            face = tuple(sorted(set(face)))
-            if not face or face[0] < 0 or face[-1] >= n:
-                raise InvalidArgumentError(f"face {face} is empty or has a vertex out of range")
-            found = _holders(index, face)
-            j = next(iter(found), None)
-            if facet is None:
-                if len(found) != 1:
-                    raise PreconditionError(
-                        f"face {face} should have a unique facet, found {len(found)}")
-                facet = table[j]
-            facet = tuple(sorted(set(facet)))
-            if not set(face) < set(facet):
-                raise InvalidArgumentError(f"{face} is not a proper nonempty subset of {facet}")
-            if len(found) != 1 or table[j] != facet:
-                raise PreconditionError(f"{face} is not a free face of {facet}")
+        for step in steps:
+            if len(step) == 3:
+                zs, xs, ys = (tuple(sorted(set(part))) for part in step)
+                facet = tuple(sorted(zs + xs + ys))
+                if (len(set(facet)) < len(facet) or len(xs) < 2 or not ys
+                        or facet[0] < 0 or facet[-1] >= n):
+                    raise InvalidArgumentError(
+                        f"family step {zs}, {xs}, {ys} needs disjoint parts, two or more xs, "
+                        "some ys and every vertex in range")
+                found = _holders(index, facet)
+                j = next(iter(found), None)
+                if len(found) != 1 or table[j] != facet:
+                    raise PreconditionError(f"{facet} is not a facet")
+                # F holds zs and each x; another facet holding zs and two xs is a repeated id
+                hits = [_holders(index, zs + (x,)) for x in xs]
+                if len(set().union(*hits)) + len(xs) - 1 < sum(map(len, hits)):
+                    raise PreconditionError(f"another facet holds {zs} with two of {xs}")
+                rests = ([tuple(sorted(zs + (x,) + ys)) for x in xs]
+                         + [tuple(v for v in facet if v != z) for z in zs])
+            else:
+                face, facet = step
+                face = tuple(sorted(set(face)))
+                if not face or face[0] < 0 or face[-1] >= n:
+                    raise InvalidArgumentError(f"face {face} is empty or has a vertex out of range")
+                found = _holders(index, face)
+                j = next(iter(found), None)
+                if facet is None:
+                    if len(found) != 1:
+                        raise PreconditionError(
+                            f"face {face} should have a unique facet, found {len(found)}")
+                    facet = table[j]
+                facet = tuple(sorted(set(facet)))
+                if not set(face) < set(facet):
+                    raise InvalidArgumentError(f"{face} is not a proper nonempty subset of {facet}")
+                if len(found) != 1 or table[j] != facet:
+                    raise PreconditionError(f"{face} is not a free face of {facet}")
+                rests = [tuple(v for v in facet if v != s) for s in face]
             del table[j]
             for v in facet:
                 index[v].discard(j)
-            for s in face:
-                rest = tuple(v for v in facet if v != s)
+            for rest in rests:
                 if not _holders(index, rest):
                     k = next(fresh)
                     table[k] = rest
@@ -274,57 +316,41 @@ def build_delta(n: int, families: Optional[Dict[str, List[Face]]] = None) -> Com
     return Complex(labels, [f for fam in fams.values() for f in fam])
 
 
-def _free_family_steps(xs: Sequence[int], ys: Sequence[int]) -> Iterator[Tuple[Face, Face]]:
-    """Collapse steps taking the facet xs+ys down to the stars {x}+ys, one x at a time.
-
-    Each pair {x_i, x_j} is named with the intermediate facet that the
-    collapse order predicts contains it, so the step checks freeness in
-    that facet.
-    """
-    facet = sorted(list(xs) + list(ys))
-    for i in range(len(xs) - 1):
-        base = [v for v in facet if v not in xs[:i]]
-        for j in range(i + 1, len(xs)):
-            gone = set(xs[i + 1:j])
-            yield (xs[i], xs[j]), tuple(v for v in base if v not in gone)
-
-
-def _cascade_steps(n: int) -> Iterator[Tuple[Face, Optional[Face]]]:
+def _cascade(n: int) -> Iterator[Tuple[Sequence[int], Sequence[int], Sequence[int]]]:
     verts, index = _core_index(n)
-    for i, f in enumerate(verts):
-        if not (f.is_injective and not f.is_constant):
-            continue
+    injective = [i for i, f in enumerate(verts) if f.is_injective and not f.is_constant]
+    for i in injective:
+        f = verts[i]
         x = f.missing_values(n + 1)[0]
-        xs = sorted(index[variant(f, s, x).values] for s in range(1, n + 1))
-        yield from _free_family_steps(xs, [i, x - 1])
+        yield (), [index[variant(f, s, x).values] for s in range(1, n + 1)], (i, x - 1)
     for y in range(1, n + 2):
-        xs = [i for i, f in enumerate(verts)
-              if f.is_injective and not f.is_constant and y not in f.image]
-        yield from _free_family_steps(xs, [z - 1 for z in range(1, n + 2) if z != y])
-    for i, f in enumerate(verts):
-        if not (f.is_injective and not f.is_constant):
-            continue
-        anchor = 1 if 1 in f.image else 2
-        rest = [y for y in sorted(f.image) if y != anchor]
-        for a in range(len(rest) - 1):
-            for b in range(a + 1, len(rest)):
-                yield (rest[a] - 1, rest[b] - 1, i), None
+        yield ((), [i for i in injective if y not in verts[i].image],
+               [z - 1 for z in range(1, n + 2) if z != y])
+    for i in injective:
+        im = verts[i].image
+        anchor = 1 if 1 in im else 2
+        yield (i,), [y - 1 for y in im if y != anchor], (anchor - 1,)
 
 
 def delta_via_collapse(n: int) -> Complex:
     """Reach the collapsed model from the neighborhood complex by checked collapses.
 
-    Stage 1 collapses each neighborhood facet to triangles through its center.
-    Stage 2 collapses each constants-plus-injective facet onto its anchor
-    constant (<1> when the injective map covers 1, else <2>). Stage 3 removes
-    the remaining triangles on two non-anchor values of an injective map,
-    each through its only facet. Every step is validated as an elementary
-    collapse, so this doubles as a proof trace.
+    Each stage is one family step (zs, xs, ys) per facet family (see
+    `Complex.collapse`); constants <y> are the vertices y - 1.
+    Stage 1, per injective map f (vertex i) missing x: ((), the variants of
+    f, (i, <x>)) takes the neighborhood facet to triangles through i and <x>.
+    Stage 2, per constant <y>: ((), the injective maps missing y, the other
+    constants) takes the constants-plus-injectives facet to one star per map.
+    Stage 3, per injective map f (vertex i): ((i,), the constants on f's
+    image but its anchor, (anchor,)), where the anchor is <1> when f covers
+    1 and <2> otherwise, leaves the triangles on i, the anchor and one more
+    constant. Every step is validated as a collapse against the complex as
+    it stands, so this doubles as a proof trace.
     """
     if n < 3:
         raise InvalidArgumentError("the collapse cascade is defined for n >= 3")
     C = neighborhood_complex(fold_core_exponential(n + 1, n))
-    return C.collapse(_cascade_steps(n))
+    return C.collapse(_cascade(n))
 
 
 def complex_to_json(C: Complex) -> dict:

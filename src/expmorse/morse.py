@@ -82,9 +82,6 @@ class Matching:
             rev[up] = low
         return rev
 
-    def matched(self) -> Set[Face]:
-        return set(self.pairs) | set(self.pairs.values())
-
     def __len__(self) -> int:
         return len(self.pairs)
 
@@ -136,10 +133,11 @@ class CriticalSet:
         return self.by_dim[d] if 0 <= d < len(self.by_dim) else ()
 
 
-def critical_cells(P: FacePoset, M: Matching) -> CriticalSet:
-    matched = M.matched()
+def critical_cells(P: FacePoset, cache: DescentCache) -> CriticalSet:
+    """The cells of P on neither side of the matching whose descent `cache` holds."""
+    pairs, upper = cache.pairs, cache.upper
     return CriticalSet(tuple(
-        tuple(c for c in P.cells(d) if c not in matched)
+        tuple(c for c in P.cells(d) if c not in pairs and c not in upper)
         for d in range(P.dim + 1)))
 
 

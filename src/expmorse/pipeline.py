@@ -128,7 +128,7 @@ def build_matching_mu(n: int) -> Matching:
 
 @lru_cache(maxsize=None)
 def _critical(n: int) -> CriticalSet:
-    return critical_cells(delta_poset(n), build_matching_mu(n))
+    return critical_cells(delta_poset(n), _descent(n))
 
 
 @lru_cache(maxsize=None)
@@ -413,8 +413,7 @@ def _check_trichotomy(n: int) -> bool:
     """Surviving 1-cells split into injective pair / missing value / covered value."""
     P = delta_poset(n)
     verts, _ = _core(n)
-    M = build_matching_mu(n)
-    matched = M.matched()
+    cache = _descent(n)
     for c in P.cells(1):
         if c[0] == 0 or (0,) + c in P:
             continue
@@ -430,7 +429,7 @@ def _check_trichotomy(n: int) -> bool:
             # a missing value is always matched; of the covered values only
             # {f,<2>} with 1 outside the image stays critical
             critical = cval in f.image and cval == 2 and 1 not in f.image
-        if critical != (c not in matched):
+        if critical != (c not in cache.pairs and c not in cache.upper):
             return False
     return True
 

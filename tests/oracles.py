@@ -2,19 +2,21 @@
 
 The program never calls these. They are written plainly, so that a test
 compares a fast route with a direct one: a complex indexed by dense
-per-vertex facet bitmasks, whole boundary matrices, a coboundary reduction
-that sums colliding columns in one heap of codes, a colour-marking DFS for
-cycles of a matching, an exhaustive path enumerator, and the path parity it
-implies.
+per-vertex facet bitmasks, the NC to Delta collapse as elementary steps,
+whole boundary matrices, a coboundary reduction that sums colliding columns
+in one heap of codes, a colour-marking DFS for cycles of a matching, an
+exhaustive path enumerator, and the path parity it implies.
 """
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import AbstractSet, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import (AbstractSet, Dict, Iterable, Iterator, List, Optional, Sequence, Set,
+                    Tuple, Union)
 
-from expmorse.complexes import Complex, Face
+from expmorse.complexes import Complex, Face, _core_index
 from expmorse.errors import InvalidArgumentError, PreconditionError, ResourceLimitError
 from expmorse.gf2 import Gf2Matrix
+from expmorse.graphs import variant
 from expmorse.morse import AcyclicityResult, DescentCache, Matching
 
 
@@ -116,6 +118,50 @@ class BitmaskComplex:
                     for v in rest:
                         owners[v].add(rest)
         return BitmaskComplex(self.labels, {f for fs in owners for f in fs})
+
+
+def _free_family_steps(zs: Sequence[int], xs: Sequence[int],
+                       ys: Sequence[int]) -> Iterator[Tuple[Face, Face]]:
+    """The family step (zs, xs, ys) as elementary steps: xs+ys+zs down to the stars zs+{x}+ys.
+
+    The faces zs + (x_i, x_j) go one pair at a time. Each is named with the
+    intermediate facet that the collapse order predicts contains it, so the
+    step checks freeness in that facet.
+    """
+    facet = sorted(list(zs) + list(xs) + list(ys))
+    for i in range(len(xs) - 1):
+        base = [v for v in facet if v not in xs[:i]]
+        for j in range(i + 1, len(xs)):
+            gone = set(xs[i + 1:j])
+            yield tuple(zs) + (xs[i], xs[j]), tuple(v for v in base if v not in gone)
+
+
+def _cascade_steps(n: int) -> Iterator[Tuple[Face, Optional[Face]]]:
+    """`complexes.delta_via_collapse`'s three stages as elementary steps.
+
+    Stages 1 and 2 are their family steps spelled out by `_free_family_steps`;
+    stage 3 removes each triangle on two non-anchor constants of an injective
+    map through its only facet.
+    """
+    verts, index = _core_index(n)
+    for i, f in enumerate(verts):
+        if not (f.is_injective and not f.is_constant):
+            continue
+        x = f.missing_values(n + 1)[0]
+        xs = sorted(index[variant(f, s, x).values] for s in range(1, n + 1))
+        yield from _free_family_steps((), xs, [i, x - 1])
+    for y in range(1, n + 2):
+        xs = [i for i, f in enumerate(verts)
+              if f.is_injective and not f.is_constant and y not in f.image]
+        yield from _free_family_steps((), xs, [z - 1 for z in range(1, n + 2) if z != y])
+    for i, f in enumerate(verts):
+        if not (f.is_injective and not f.is_constant):
+            continue
+        anchor = 1 if 1 in f.image else 2
+        rest = [y for y in sorted(f.image) if y != anchor]
+        for a in range(len(rest) - 1):
+            for b in range(a + 1, len(rest)):
+                yield (rest[a] - 1, rest[b] - 1, i), None
 
 
 def zero_matrix(nrows: int, ncols: int) -> Gf2Matrix:
@@ -264,7 +310,7 @@ def alternating_path_parity(M: Matching, tau: Face, sigma: Face,
     """Mod-2 count of alternating paths between critical cells of adjacent dimension."""
     if len(tau) != len(sigma) + 1:
         raise InvalidArgumentError("cells must sit in adjacent dimensions")
-    matched = M.matched()
+    matched = set(M.pairs) | set(M.pairs.values())
     if tau in matched or sigma in matched:
         raise InvalidArgumentError("parity is defined between critical cells")
     cache = cache or DescentCache(M)

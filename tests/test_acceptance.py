@@ -65,7 +65,7 @@ def test_a03_n5_morse_with_partial_bruteforce(timed_report5):
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_a04_critical_census_equals_closed_form(n):
-    crit = critical_cells(delta_poset(n), build_matching_mu(n))
+    crit = critical_cells(delta_poset(n), DescentCache(build_matching_mu(n)))
     assert crit == closed_form_critical(n)
     counts = crit.counts
     assert counts[0] == 1
@@ -94,7 +94,7 @@ def _replace_one(values, x):
 def test_a06_two_path_structure_exhaustive(n):
     P = delta_poset(n)
     M = build_matching_mu(n)
-    crit = critical_cells(P, M)
+    crit = critical_cells(P, DescentCache(M))
     ones = set(crit.cells(1))
     verts = core_vertices(n + 1, n)
     index = {v.values: i for i, v in enumerate(verts)}
@@ -207,9 +207,9 @@ def test_a10_lovasz_consistency_corpus():
 
 
 def test_a11a_boundary_squares_to_zero():
-    chains = [morse_boundaries(critical_cells(delta_poset(n), build_matching_mu(n)),
-                               DescentCache(build_matching_mu(n)))
-              for n in (3, 4, 5)]
+    caches = [DescentCache(build_matching_mu(n)) for n in (3, 4, 5)]
+    chains = [morse_boundaries(critical_cells(delta_poset(n), cache), cache)
+              for n, cache in zip((3, 4, 5), caches)]
     for C in [build_delta(3), neighborhood_complex(cycle_graph(6)),
               order_complex_of_hom(
               enumerate_hom_cells(complete_graph(2), complete_graph(4)))]:

@@ -76,10 +76,11 @@ def test_breaking_the_cycle_restores_acyclicity():
     pairs = dict(CYCLIC_MATCHING.pairs)
     del pairs[(3,)]
     M = Matching(pairs)
-    assert is_acyclic(DescentCache(M)).acyclic
-    crit = critical_cells(P, M)
+    cache = DescentCache(M)
+    assert is_acyclic(cache).acyclic
+    crit = critical_cells(P, cache)
     assert crit.counts == (1, 1)
-    chain = morse_boundaries(crit, DescentCache(M))
+    chain = morse_boundaries(crit, cache)
     assert betti_of_chain(chain).betti == (1, 1)
 
 
@@ -87,7 +88,7 @@ def test_critical_cells_partition():
     P = face_poset(SQUARE)
     pairs = dict(CYCLIC_MATCHING.pairs)
     del pairs[(3,)]
-    crit = critical_cells(P, Matching(pairs))
+    crit = critical_cells(P, DescentCache(Matching(pairs)))
     assert crit.total + 2 * len(pairs) == P.size
     assert crit.cells(0) == ((3,),)
 
@@ -192,7 +193,7 @@ def test_descent_queries_against_path_enumeration():
         P, M = case
         if not dfs_acyclicity(M).acyclic:
             return
-        crit = critical_cells(P, M)
+        crit = critical_cells(P, DescentCache(M))
         on_paths, support = {}, {}  # d -> cells on paths out of the critical d-cells
         for d in range(1, P.dim + 1):
             on_paths[d] = set(crit.cells(d))
@@ -228,7 +229,8 @@ def test_random_acyclic_matchings_preserve_betti(seed):
     M = _random_acyclic_matching(P, rng)
     assert validate_matching(P, M) == []
     want = betti_bounded(C, C.dim).betti
-    got = betti_of_chain(morse_boundaries(critical_cells(P, M), DescentCache(M))).betti
+    cache = DescentCache(M)
+    got = betti_of_chain(morse_boundaries(critical_cells(P, cache), cache)).betti
     width = max(len(got), len(want))
     assert got + (0,) * (width - len(got)) == want + (0,) * (width - len(want))
 
@@ -238,8 +240,8 @@ def test_parity_matches_exhaustive_enumeration():
     from expmorse.pipeline import build_matching_mu, delta_poset
     P = delta_poset(n)
     M = build_matching_mu(n)
-    crit = critical_cells(P, M)
     cache = DescentCache(M)
+    crit = critical_cells(P, cache)
     on_paths = set()
     for tau in crit.cells(2):
         paths = enumerate_alternating_paths(M, tau)
@@ -259,7 +261,7 @@ def test_parity_rejects_non_critical_or_bad_dims():
     from expmorse.pipeline import build_matching_mu, delta_poset
     P = delta_poset(3)
     M = build_matching_mu(3)
-    crit = critical_cells(P, M)
+    crit = critical_cells(P, DescentCache(M))
     tau = crit.cells(2)[0]
     with pytest.raises(InvalidArgumentError):
         alternating_path_parity(M, tau, crit.cells(0)[0])
@@ -271,7 +273,8 @@ def test_morse_chain_of_delta3_gives_known_betti():
     from expmorse.pipeline import build_matching_mu, delta_poset
     P = delta_poset(3)
     M = build_matching_mu(3)
-    chain = morse_boundaries(critical_cells(P, M), DescentCache(M))
+    cache = DescentCache(M)
+    chain = morse_boundaries(critical_cells(P, cache), cache)
     assert all(a.matmul(b).is_zero() for a, b in zip(chain, chain[1:]))
     assert betti_of_chain(chain).betti == (1, 1, 14)
 

@@ -30,7 +30,7 @@ def test_matching_is_valid_and_acyclic(n):
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_critical_census_matches_closed_form(n):
     P = delta_poset(n)
-    crit = critical_cells(P, build_matching_mu(n))
+    crit = critical_cells(P, DescentCache(build_matching_mu(n)))
     assert crit == closed_form_critical(n)
     want = [1, math.factorial(n), math.factorial(n) * n * (n - 1) // 2]
     want += [0] * (n - 4)
@@ -78,7 +78,7 @@ def test_two_path_targets_by_exhaustive_enumeration():
     n = 3
     P = delta_poset(n)
     M = build_matching_mu(n)
-    crit = critical_cells(P, M)
+    crit = critical_cells(P, DescentCache(M))
     ones = set(crit.cells(1))
     for tau in crit.cells(2):
         constants = [v for v in tau if v <= n]
@@ -98,7 +98,7 @@ def test_paths_from_critical_triangles_never_touch_first_constant():
     n = 3
     P = delta_poset(n)
     M = build_matching_mu(n)
-    crit = critical_cells(P, M)
+    crit = critical_cells(P, DescentCache(M))
     for tau in crit.cells(2):
         for p in enumerate_alternating_paths(M, tau):
             assert all(0 not in cell for cell in p)

@@ -6,17 +6,18 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from expmorse import complexes, pipeline
-from expmorse.complexes import (Complex, _free_family_steps, build_delta,
-                                complex_to_json, delta_facet_families,
-                                delta_via_collapse, neighborhood_complex)
+from expmorse.complexes import (Complex, build_delta, complex_to_json,
+                                delta_facet_families, delta_via_collapse,
+                                neighborhood_complex)
 from expmorse.errors import (InvalidArgumentError, PreconditionError,
                              ResourceLimitError)
-from expmorse.graphs import complete_graph, cycle_graph
-from oracles import BitmaskComplex
+from expmorse.graphs import complete_graph, cycle_graph, fold_core_exponential
+from oracles import BitmaskComplex, _cascade_steps, _free_family_steps
+from test_gf2 import _rss_rise
 
 
 def _brute_faces(C: Complex):
@@ -165,13 +166,56 @@ def test_elementary_collapse_removes_interval():
 
 def test_collapse_free_family_full_simplex_to_point():
     C = Complex(list("abc"), [(0, 1, 2)])
-    D = C.collapse(_free_family_steps([1, 2], [0]))
+    D = C.collapse(_free_family_steps([], [1, 2], [0]))
     # collapsing away vertex layers leaves a cone fragment, same homotopy type
     assert D.contains((0,))
     assert not D.contains((1, 2))
     E = Complex(list("abcd"), [(0, 1, 2, 3)]).collapse(
-        _free_family_steps([1, 2, 3], [0]))
+        _free_family_steps([], [1, 2, 3], [0]))
     assert E.facets == ((0, 1), (0, 2), (0, 3))
+
+
+@settings(max_examples=200)
+@given(st.lists(st.lists(st.integers(0, 7), min_size=1, max_size=7), min_size=1, max_size=7),
+       st.data())
+def test_family_step_is_its_elementary_sequence(facets, data):
+    C = Complex([str(i) for i in range(8)], facets)
+    # mostly a facet split three ways, so that both outcomes are drawn
+    part = data.draw(st.one_of(st.sampled_from(C.facets),
+                               st.lists(st.integers(0, 7), min_size=3, max_size=8, unique=True)))
+    assume(len(part) >= 3)
+    verts = data.draw(st.permutations(part))
+    nx = data.draw(st.integers(2, len(verts) - 1))
+    ny = data.draw(st.integers(1, len(verts) - nx))
+    xs, ys, zs = verts[:nx], verts[nx:nx + ny], verts[nx + ny:]
+    family = _outcome(lambda: C.collapse([(zs, xs, ys)]))
+    assert family == _outcome(lambda: C.collapse(_free_family_steps(zs, xs, ys)))
+    assert family is PreconditionError or isinstance(family, Complex)
+
+
+def test_family_step_checks():
+    C = Complex(list("abcdef"), [(0, 1, 2, 3), (2, 3, 4), (1, 5)])
+    assert C.collapse([((), (0, 1), (2, 3))]).facets == ((0, 2, 3), (1, 2, 3), (1, 5), (2, 3, 4))
+    # a cone vertex: F minus it stays, held by no other facet
+    assert C.collapse([((3,), (0, 1), (2,))]).facets == (
+        (0, 1, 2), (0, 2, 3), (1, 2, 3), (1, 5), (2, 3, 4))
+    for step in [((), (2, 3), (0,)),       # a face, not a facet
+                 ((), (0, 4), (5,))]:      # not a face
+        with pytest.raises(PreconditionError, match="is not a facet"):
+            C.collapse([step])
+    D = Complex(list("abcde"), [(0, 1, 2, 3), (1, 2, 3, 4)])
+    for step in [((), (1, 2), (0, 3)),     # (1, 2, 3, 4) holds two xs
+                 ((3,), (1, 2), (0,))]:    # ... and the cone vertex with them
+        with pytest.raises(PreconditionError, match="another facet holds"):
+            D.collapse([step])
+    assert D.collapse([((), (0, 1), (2, 3))]).facets == ((0, 2, 3), (1, 2, 3, 4))
+    for step in [((0,), (0, 1), (2,)),     # overlapping parts
+                 ((), (1, 1), (0, 2)),     # one x
+                 ((), (0, 1), ()),         # no ys
+                 ((), (0, 1), (6,)),       # out of range
+                 ((-1,), (0, 1), (2,))]:
+        with pytest.raises(InvalidArgumentError):
+            C.collapse([step])
 
 
 def _collapse_by_definition(C: Complex, face, facet) -> Complex:
@@ -297,9 +341,21 @@ def test_delta_n3_exact_counts():
     assert tuple(len(fams[k]) for k in ("M1", "A1", "A2", "A3")) == (72, 36, 12, 4)
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_collapse_route_agrees_with_direct_build(n):
-    assert delta_via_collapse(n) == build_delta(n)
+    # In a fresh process, so that the rise of peak memory above Δ(n) is
+    # bounded too: at n=6 the collapse route takes about 3.5 s and a 35 MB rise
+    # in family steps, and did not finish in 300 s as elementary steps.
+    same, rise_kb = _rss_rise("from expmorse.complexes import build_delta, delta_via_collapse\n"
+                              f"D = build_delta({n})", f"delta_via_collapse({n}) == D")
+    assert same == "True"
+    assert rise_kb < 150 * 1024
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_collapse_route_agrees_with_elementary_cascade(n):
+    NC = neighborhood_complex(fold_core_exponential(n + 1, n))
+    assert NC.collapse(_cascade_steps(n)) == delta_via_collapse(n)
 
 
 def test_neighborhood_complex_facets_are_maximal_neighborhoods():
