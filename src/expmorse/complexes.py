@@ -7,6 +7,7 @@ intersects those sets, smallest first; membership, cofacets, the maximality
 filter and free-face collapses all ask it that way. Nothing else is kept per
 facet: the cofacet vertices of a face are read off the facets that hold it,
 as a sorted list, and the least of them from one scan of each such facet.
+The faces of each dimension are listed once, when first asked for, and kept.
 
 `Complex.collapse` takes two step shapes against that index. An elementary
 step (face, facet) removes the faces between a free face and its facet. A
@@ -63,10 +64,18 @@ def _facet_index(facets: Sequence[Face], n: int) -> List[Set[int]]:
     return index
 
 
+def _faces_of_dim(facets: Sequence[Face], dim: int) -> List[Face]:
+    """The sorted set of the (dim + 1)-subsets of the facets."""
+    faces: Set[Face] = set()
+    for facet in facets:
+        faces.update(itertools.combinations(facet, dim + 1))
+    return sorted(faces)
+
+
 class Complex:
     """A simplicial complex given by its facets (pairwise incomparable maximal faces)."""
 
-    __slots__ = ("labels", "facets", "_index", "_sizes")
+    __slots__ = ("labels", "facets", "_index", "_sizes", "_levels")
 
     def __init__(self, labels: Sequence[str], facets: Iterable[Iterable[int]]):
         self.labels = tuple(labels)
@@ -80,13 +89,25 @@ class Complex:
                 raise InvalidArgumentError(f"facet {t} has a vertex out of range")
             canon.add(t)
         ordered = sorted(canon)
-        index = _facet_index(ordered, n)
-        longest = max(map(len, ordered), default=0)  # no other facet can contain a longest one
-        self.facets = tuple(f for f in ordered
-                            if len(f) == longest or len(_holders(index, f)) == 1)
-        self._index = index if len(self.facets) == len(ordered) else _facet_index(self.facets, n)
+        # Longest first: a facet can lie only inside a longer facet, never in
+        # another of its size, so each is checked against the facets kept so far.
+        sizes = list(map(len, ordered))
+        longest = max(sizes, default=0)
+        index: List[Set[int]] = [set() for _ in range(n)]
+        kept: List[int] = []
+        for j in sorted(range(len(ordered)), key=sizes.__getitem__, reverse=True):
+            if sizes[j] == longest or not _holders(index, ordered[j]):
+                kept.append(j)
+                for v in ordered[j]:
+                    index[v].add(j)
+        if len(kept) == len(ordered):
+            self.facets, self._index = tuple(ordered), index
+        else:
+            self.facets = tuple(ordered[j] for j in sorted(kept))
+            self._index = _facet_index(self.facets, n)
         # (facet size, facet count), ascending by size: what dim and the face estimates read
         self._sizes = tuple(sorted(Counter(map(len, self.facets)).items()))
+        self._levels: Dict[int, List[Face]] = {}  # dim -> its faces, once listed
 
     @property
     def vertex_count(self) -> int:
@@ -151,15 +172,22 @@ class Complex:
         """
         return sum(m * comb(size, dim + 1) for size, m in self._sizes)
 
+    def faces_of_dim(self, dim: int) -> List[Face]:
+        """Every face of one dimension, each once, in lex order, listed once and kept.
+
+        The face poset and the brute-force pass read this one list; callers must not change it.
+        """
+        level = self._levels.get(dim)
+        if level is None:
+            level = self._levels[dim] = _faces_of_dim(self.facets, dim)
+        return level
+
     def iter_faces_of_dim(self, dim: int) -> Iterator[Face]:
-        """Every face of one dimension, each once, in lex order: the sorted set of facet subsets."""
-        faces: Set[Face] = set()
-        for facet in self.facets:
-            faces.update(itertools.combinations(facet, dim + 1))
-        return iter(sorted(faces))
+        """`faces_of_dim(dim)`, one face at a time."""
+        return iter(self.faces_of_dim(dim))
 
     def faces_by_dim(self, maxdim: int) -> List[List[Face]]:
-        """Faces of each dimension 0..maxdim, each once, in lex order; none above `dim`.
+        """The lists `faces_of_dim` keeps, for dimensions 0..maxdim; none above `dim`.
 
         Refused when the face estimates of dimensions 0..maxdim sum past
         DEFAULT_MAX_FACES; the sum stops at the first dimension that does.
@@ -171,8 +199,7 @@ class Complex:
                     f"enumerating faces up to dim {maxdim} needs at least {total} "
                     f"steps (largest facet has {self.dim + 1} vertices), over the bound "
                     f"{DEFAULT_MAX_FACES}", bound=DEFAULT_MAX_FACES)
-        return ([list(self.iter_faces_of_dim(d)) for d in range(top + 1)]
-                + [[] for _ in range(maxdim - top)])
+        return [self.faces_of_dim(d) for d in range(top + 1)] + [[] for _ in range(maxdim - top)]
 
     def collapse(self, steps: Iterable[Sequence[Optional[Sequence[int]]]]) -> "Complex":
         """Apply collapses in order; each is checked against the complex as it stands.

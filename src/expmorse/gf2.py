@@ -171,7 +171,7 @@ def betti_bounded(C: Complex, maxdim: int, max_faces: int = DEFAULT_MAX_FACES) -
         raise ResourceLimitError(
             f"max dim {maxdim} is over the face budget {max_faces}", bound=max_faces)
     # dims 0..v fit the budget (checked above), so the listing needs no check of its own
-    levels = [list(C.iter_faces_of_dim(d)) for d in range(min(v, top) + 1)]
+    levels = [C.faces_of_dim(d) for d in range(min(v, top) + 1)]
     ranks = [0] * (len(levels) + 1)
     base = C.vertex_count
     paired: Set[int] = set()  # codes of level k's faces paired one level down

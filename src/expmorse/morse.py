@@ -8,6 +8,7 @@ supports and the cells on alternating paths all read that one memo.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -35,13 +36,12 @@ def _subfaces(cell: Face) -> List[Face]:
 
 
 class FacePoset:
-    """All nonempty faces of a complex, grouped by dimension."""
+    """All nonempty faces of a complex, grouped by dimension, each level in lex order."""
 
-    __slots__ = ("cells_by_dim", "_all")
+    __slots__ = ("cells_by_dim",)
 
     def __init__(self, cells_by_dim: Sequence[Sequence[Face]]):
-        self.cells_by_dim = tuple(tuple(level) for level in cells_by_dim)
-        self._all = frozenset(c for level in self.cells_by_dim for c in level)
+        self.cells_by_dim = tuple(cells_by_dim)
 
     @property
     def dim(self) -> int:
@@ -49,12 +49,18 @@ class FacePoset:
 
     @property
     def size(self) -> int:
-        return len(self._all)
+        return sum(map(len, self.cells_by_dim))
 
     def __contains__(self, cell: Face) -> bool:
-        return cell in self._all
+        """Whether `cell` sits in its dimension's sorted level, found by bisection."""
+        d = len(cell) - 1
+        if not 0 <= d < len(self.cells_by_dim):
+            return False
+        level = self.cells_by_dim[d]
+        i = bisect_left(level, cell)
+        return i < len(level) and level[i] == cell
 
-    def cells(self, d: int) -> Tuple[Face, ...]:
+    def cells(self, d: int) -> Sequence[Face]:
         return self.cells_by_dim[d] if 0 <= d <= self.dim else ()
 
     def __repr__(self) -> str:
@@ -62,7 +68,7 @@ class FacePoset:
 
 
 def face_poset(C: Complex) -> FacePoset:
-    """Materialize every face of the complex, under `faces_by_dim`'s default face budget."""
+    """Every face of the complex, its own kept face lists, under `faces_by_dim`'s face budget."""
     return FacePoset(C.faces_by_dim(C.dim))
 
 
@@ -141,11 +147,18 @@ def critical_cells(P: FacePoset, cache: DescentCache) -> CriticalSet:
         for d in range(P.dim + 1)))
 
 
-def _xor(supports: Iterable[FrozenSet[Face]]) -> FrozenSet[Face]:
+_EMPTY: FrozenSet[Face] = frozenset()
+
+
+def _xor(supports: Iterable[FrozenSet[Face]], memo: Dict[Face, FrozenSet[Face]]
+         ) -> FrozenSet[Face]:
+    """The XOR of the supports: `_EMPTY` if empty, c's own entry in `memo` if {c}."""
     acc: Set[Face] = set()
     for s in supports:
         acc ^= s
-    return frozenset(acc)
+    if len(acc) > 1:
+        return frozenset(acc)
+    return memo[acc.pop()] if acc else _EMPTY
 
 
 class DescentCache:
@@ -159,7 +172,9 @@ class DescentCache:
     nonempty, or when each critical cell it reaches is reached an even
     number of times, which the same walk records. The boundary support of a
     critical cell is the XOR of its facets' sets, which includes the direct
-    facet case.
+    facet case, and is memoized too. Values are shared where they can be: one
+    empty set for every empty value, and a critical cell's own entry {c} for
+    every value that is {c}.
 
     The walk is iterative, so path length is not bounded by the recursion
     limit: it keeps the path it is expanding as (cell, kids) frames and
@@ -173,6 +188,7 @@ class DescentCache:
         self.pairs = M.pairs
         self.upper = M.reverse()
         self._memo: Dict[Face, FrozenSet[Face]] = {}
+        self._supports: Dict[Face, FrozenSet[Face]] = {}
         self._cancelled: Set[Face] = set()  # productive cells with an empty set
 
     def sets(self, cell: Face) -> FrozenSet[Face]:
@@ -184,7 +200,7 @@ class DescentCache:
             if x is not None and x not in memo:
                 up = pairs.get(x)
                 if up is None:
-                    memo[x] = frozenset() if x in upper else frozenset((x,))
+                    memo[x] = _EMPTY if x in upper else frozenset((x,))
                 elif x in depth:
                     err = InternalConsistencyError(
                         f"descent from {x} depends on itself; matching is cyclic")
@@ -199,7 +215,7 @@ class DescentCache:
             top, kids = path[-1]
             x = next((y for y in kids if y not in memo), None)
             if x is None:
-                memo[top] = s = _xor(memo[y] for y in kids)
+                memo[top] = s = _xor((memo[y] for y in kids), memo)
                 if not s and any(memo[y] or y in cancelled for y in kids):
                     cancelled.add(top)
                 del depth[top]
@@ -209,7 +225,10 @@ class DescentCache:
         return bool(self.sets(cell)) or cell in self._cancelled
 
     def boundary_support(self, tau: Face) -> FrozenSet[Face]:
-        return _xor(self.sets(y) for y in _subfaces(tau))
+        s = self._supports.get(tau)
+        if s is None:
+            s = self._supports[tau] = _xor((self.sets(y) for y in _subfaces(tau)), self._memo)
+        return s
 
 
 def is_acyclic(cache: DescentCache) -> AcyclicityResult:
@@ -254,11 +273,12 @@ def morse_boundaries(crit: CriticalSet, cache: DescentCache) -> List[Gf2Matrix]:
 
     Rows and columns follow the critical-cell order (by dimension, then
     lexicographic). Dimensions with no critical cells yield zero-sized
-    matrices so the chain stays index-aligned.
+    matrices so the chain stays index-aligned; ∂₁ is always there, so k
+    critical 0-cells alone give a k×0 ∂₁ and Betti numbers (k,).
     """
     top = max((d for d, c in enumerate(crit.counts) if c), default=0)
     mats = []
-    for d in range(1, top + 1):
+    for d in range(1, max(top, 1) + 1):
         lows = crit.cells(d - 1)
         idx = {c: i for i, c in enumerate(lows)}
         cols = []

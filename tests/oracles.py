@@ -2,22 +2,24 @@
 
 The program never calls these. They are written plainly, so that a test
 compares a fast route with a direct one: a complex indexed by dense
-per-vertex facet bitmasks, the NC to Delta collapse as elementary steps,
-whole boundary matrices, a coboundary reduction that sums colliding columns
-in one heap of codes, a colour-marking DFS for cycles of a matching, an
-exhaustive path enumerator, and the path parity it implies.
+per-vertex facet bitmasks, the maximality filter that checks each facet
+against every other, the NC to Delta collapse as elementary steps, whole
+boundary matrices, a coboundary reduction that sums colliding columns in
+one heap of codes, face-poset membership from one frozenset of all cells,
+a colour-marking DFS for cycles of a matching, descent values as fresh sets
+by plain recursion, an exhaustive path enumerator, and the path parity.
 """
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import (AbstractSet, Dict, Iterable, Iterator, List, Optional, Sequence, Set,
-                    Tuple, Union)
+from typing import (AbstractSet, Dict, FrozenSet, Iterable, Iterator, List, Optional,
+                    Sequence, Set, Tuple, Union)
 
 from expmorse.complexes import Complex, Face, _core_index
 from expmorse.errors import InvalidArgumentError, PreconditionError, ResourceLimitError
 from expmorse.gf2 import Gf2Matrix
 from expmorse.graphs import variant
-from expmorse.morse import AcyclicityResult, DescentCache, Matching
+from expmorse.morse import AcyclicityResult, FacePoset, Matching
 
 
 class BitmaskComplex:
@@ -118,6 +120,21 @@ class BitmaskComplex:
                     for v in rest:
                         owners[v].add(rest)
         return BitmaskComplex(self.labels, {f for fs in owners for f in fs})
+
+
+def all_facets_maximal(facets: Iterable[Iterable[int]]) -> Tuple[Face, ...]:
+    """The facets `Complex` keeps, found by checking each facet against all others.
+
+    Each facet is canonicalized and deduplicated, then kept unless another
+    facet, of any size, contains it; the result is in lex order.
+    """
+    canon = {tuple(sorted(set(f))) for f in facets} - {()}
+    return tuple(sorted(f for f in canon if not any(set(f) < set(g) for g in canon)))
+
+
+def cell_set(P: FacePoset) -> FrozenSet[Face]:
+    """Every cell of the poset in one frozenset, which answers membership by hashing."""
+    return frozenset(c for d in range(P.dim + 1) for c in P.cells(d))
 
 
 def _free_family_steps(zs: Sequence[int], xs: Sequence[int],
@@ -305,16 +322,53 @@ def dfs_acyclicity(M: Matching) -> AcyclicityResult:
     return AcyclicityResult(True, None)
 
 
+class FreshDescent:
+    """Descent values of an acyclic matching by plain recursion, each a new frozenset.
+
+    sets(x) is the set of critical cells reached from x by descent with an
+    odd path count: a critical cell reaches itself, an upper cell nothing,
+    a matched lower cell x the XOR over the other facets of its partner. A
+    boundary support is the XOR of the cell's facets' sets, recomputed on
+    every call. Nothing is shared between values.
+    """
+
+    def __init__(self, M: Matching):
+        self.pairs = M.pairs
+        self.upper = set(M.pairs.values())
+        self.memo: Dict[Face, FrozenSet[Face]] = {}
+
+    def sets(self, x: Face) -> FrozenSet[Face]:
+        if x not in self.memo:
+            up = self.pairs.get(x)
+            if up is None:
+                self.memo[x] = frozenset() if x in self.upper else frozenset((x,))
+            else:
+                self.memo[x] = self._xor(y for y in _subfaces(up) if y != x)
+        return self.memo[x]
+
+    def boundary_support(self, tau: Face) -> FrozenSet[Face]:
+        return self._xor(_subfaces(tau))
+
+    def _xor(self, cells: Iterable[Face]) -> FrozenSet[Face]:
+        acc: Set[Face] = set()
+        for y in cells:
+            acc ^= self.sets(y)
+        return frozenset(acc)
+
+
 def alternating_path_parity(M: Matching, tau: Face, sigma: Face,
-                            cache: Optional[DescentCache] = None) -> int:
-    """Mod-2 count of alternating paths between critical cells of adjacent dimension."""
+                            descent: Optional[FreshDescent] = None) -> int:
+    """Mod-2 count of alternating paths between critical cells of adjacent dimension.
+
+    `descent` is a FreshDescent of M, made afresh unless given.
+    """
     if len(tau) != len(sigma) + 1:
         raise InvalidArgumentError("cells must sit in adjacent dimensions")
     matched = set(M.pairs) | set(M.pairs.values())
     if tau in matched or sigma in matched:
         raise InvalidArgumentError("parity is defined between critical cells")
-    cache = cache or DescentCache(M)
-    return 1 if sigma in cache.boundary_support(tau) else 0
+    descent = descent or FreshDescent(M)
+    return 1 if sigma in descent.boundary_support(tau) else 0
 
 
 def enumerate_alternating_paths(M: Matching, start: Face,

@@ -13,10 +13,11 @@ from expmorse.complexes import Complex, build_delta, neighborhood_complex
 from expmorse.errors import InternalConsistencyError, InvalidArgumentError
 from expmorse.gf2 import betti_bounded, betti_of_chain
 from expmorse.graphs import cycle_graph
-from expmorse.morse import (AcyclicityResult, DescentCache, FacePoset, Matching,
+from expmorse.morse import (_EMPTY, AcyclicityResult, DescentCache, FacePoset, Matching,
                             critical_cells, face_poset, is_acyclic, morse_boundaries,
                             path_cells, validate_matching)
-from oracles import alternating_path_parity, dfs_acyclicity, enumerate_alternating_paths
+from oracles import (FreshDescent, alternating_path_parity, cell_set, dfs_acyclicity,
+                     enumerate_alternating_paths)
 
 SQUARE = Complex(list("abcd"), [(0, 1), (1, 2), (2, 3), (0, 3)])
 CYCLIC_MATCHING = Matching({(0,): (0, 1), (1,): (1, 2), (2,): (2, 3), (3,): (0, 3)})
@@ -91,6 +92,94 @@ def test_critical_cells_partition():
     crit = critical_cells(P, DescentCache(Matching(pairs)))
     assert crit.total + 2 * len(pairs) == P.size
     assert crit.cells(0) == ((3,),)
+
+
+@settings(max_examples=150)
+@given(st.lists(st.lists(st.integers(0, 6), min_size=1, max_size=5), min_size=1, max_size=6),
+       st.lists(st.lists(st.integers(-1, 7), max_size=5), max_size=8))
+def test_membership_by_bisection_against_frozenset(facets, queries):
+    # every cell, and drawn tuples: unsorted, repeated, empty, out of range
+    P = face_poset(Complex([str(i) for i in range(7)], facets))
+    cells = cell_set(P)
+    assert P.size == len(cells)
+    for q in sorted(cells) + [tuple(q) for q in queries] + [(), tuple(range(7)), (0,) * 9]:
+        assert (q in P) == (q in cells), q
+
+
+def test_morse_chain_with_only_critical_vertices():
+    # no critical cell above dimension 0: ∂₁ is a 1×0 matrix, not an empty chain
+    C = Complex(["a", "b"], [(0, 1)])
+    cache = DescentCache(Matching({(0,): (0, 1)}))
+    crit = critical_cells(face_poset(C), cache)
+    assert crit.counts == (1, 0)
+    chain = morse_boundaries(crit, cache)
+    assert [(m.nrows, m.ncols) for m in chain] == [(1, 0)]
+    assert betti_of_chain(chain).betti == (1,)
+    two_points = Complex(["a", "b"], [(0,), (1,)])
+    cache = DescentCache(Matching({}))
+    chain = morse_boundaries(critical_cells(face_poset(two_points), cache), cache)
+    assert betti_of_chain(chain).betti == (2,)
+
+
+@settings(max_examples=100)
+@given(st.lists(st.sets(st.integers(1, 5), min_size=1, max_size=4), min_size=1, max_size=5),
+       st.permutations(range(6)))
+def test_cone_matching_collapses_to_a_point(base, relabel):
+    # a cone over a drawn complex, with each face off the apex matched to its
+    # join with the apex, leaves the apex as the only critical cell
+    apex = relabel[0]
+    facets = [[relabel[v] for v in f] + [apex] for f in base]
+    C = Complex([str(i) for i in range(6)], facets)
+    P = face_poset(C)
+    M = Matching({c: tuple(sorted(c + (apex,))) for d in range(P.dim + 1)
+                  for c in P.cells(d) if apex not in c})
+    assert validate_matching(P, M) == []
+    cache = DescentCache(M)
+    assert is_acyclic(cache).acyclic
+    crit = critical_cells(P, cache)
+    assert crit.total == 1 and crit.cells(0) == ((apex,),)
+    assert betti_of_chain(morse_boundaries(crit, cache)).betti == (1,)
+
+
+def test_descent_values_shared_against_fresh_sets():
+    """Shared descent values on drawn acyclic matchings, against fresh sets by plain recursion.
+
+    Every empty value is the one shared empty set, every one-cell value {c}
+    is c's own value, and a boundary support is memoized: the same object
+    each time it is asked for.
+    """
+    drawn = [0]
+
+    @settings(max_examples=200)
+    @given(_drawn_cases())
+    @example(CANCELLING)
+    def check(case):
+        P, M = case
+        if not dfs_acyclicity(M).acyclic:
+            return
+        cache, fresh = DescentCache(M), FreshDescent(M)
+        for d in range(P.dim + 1):
+            for c in P.cells(d):
+                got = cache.sets(c)
+                assert got == fresh.sets(c), c
+                if not got:
+                    assert got is _EMPTY
+                elif len(got) == 1:
+                    (only,) = got
+                    assert got is cache.sets(only)
+        crit = critical_cells(P, cache)
+        for d in range(1, P.dim + 1):
+            for tau in crit.cells(d):
+                support = cache.boundary_support(tau)
+                assert support == fresh.boundary_support(tau)
+                assert cache.boundary_support(tau) is support
+                for sigma in crit.cells(d - 1):
+                    assert (alternating_path_parity(M, tau, sigma, fresh)
+                            == (sigma in support))
+        drawn[0] += 1
+
+    check()
+    assert drawn[0] >= 20
 
 
 def _random_acyclic_matching(P: FacePoset, rng: random.Random) -> Matching:
@@ -203,6 +292,7 @@ def test_descent_queries_against_path_enumeration():
                 ends = Counter(path[-1] for path in paths)
                 support[tau] = frozenset(s for s, k in ends.items() if k % 2)
         walked_first, queried_first = DescentCache(M), DescentCache(M)
+        fresh = FreshDescent(M)
         assert is_acyclic(walked_first) == AcyclicityResult(True, None)
         for cache in (walked_first, queried_first):
             for d in range(1, P.dim + 1):
@@ -210,7 +300,7 @@ def test_descent_queries_against_path_enumeration():
                 for tau in crit.cells(d):
                     assert cache.boundary_support(tau) == support[tau]
                     for sigma in crit.cells(d - 1):
-                        assert (alternating_path_parity(M, tau, sigma, cache)
+                        assert (alternating_path_parity(M, tau, sigma, fresh)
                                 == (sigma in support[tau]))
         assert is_acyclic(queried_first) == AcyclicityResult(True, None)
         drawn[0] += 1
@@ -241,6 +331,7 @@ def test_parity_matches_exhaustive_enumeration():
     P = delta_poset(n)
     M = build_matching_mu(n)
     cache = DescentCache(M)
+    fresh = FreshDescent(M)
     crit = critical_cells(P, cache)
     on_paths = set()
     for tau in crit.cells(2):
@@ -251,7 +342,7 @@ def test_parity_matches_exhaustive_enumeration():
             ends[p[-1]] = ends.get(p[-1], 0) + 1
         for sigma in crit.cells(1):
             want = ends.get(sigma, 0) % 2
-            assert alternating_path_parity(M, tau, sigma, cache) == want
+            assert alternating_path_parity(M, tau, sigma, fresh) == want
         assert cache.boundary_support(tau) == frozenset(
             s for s, k in ends.items() if k % 2)
     assert path_cells(cache, crit.cells(2)) == on_paths | set(crit.cells(2))

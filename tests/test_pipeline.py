@@ -5,7 +5,7 @@ from itertools import accumulate, islice
 
 import pytest
 
-from expmorse import pipeline
+from expmorse import complexes, pipeline
 from expmorse.complexes import neighborhood_complex
 from expmorse.errors import InvalidArgumentError
 from expmorse.gf2 import rank_gf2
@@ -17,6 +17,7 @@ from expmorse.pipeline import (LEMMA_KEYS, build_matching_mu,
                                theorem1_report, verify_lemma,
                                wn_transposition_ordering)
 from oracles import enumerate_alternating_paths
+from test_gf2 import _rss_rise
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -144,6 +145,27 @@ def test_one_descent_walk_per_run(monkeypatch, run):
     assert len(built) == 1
 
 
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_each_dimension_of_delta_listed_once(monkeypatch, n):
+    # the face poset and Δ's brute force read one listing per dimension
+    listed = []
+    faces_of_dim = complexes._faces_of_dim
+
+    def counting(facets, dim):
+        listed.append((facets, dim))
+        return faces_of_dim(facets, dim)
+
+    monkeypatch.setattr(complexes, "_faces_of_dim", counting)
+    _clear_pipeline_caches()
+    try:
+        pipeline.theorem1_report(n, include_bruteforce=False)
+        delta = pipeline._delta(n)
+    finally:
+        _clear_pipeline_caches()
+    assert all(facets is delta.facets for facets, _ in listed)
+    assert sorted(d for _, d in listed) == list(range(delta.dim + 1))
+
+
 def test_verify_lemma_all_pass():
     results = verify_lemma(3, "all")
     assert [name for name, _ in results] == [k for k in LEMMA_KEYS if k != "all"]
@@ -219,3 +241,13 @@ def test_report_n6_morse_route():
     assert rep.betti == (1, 1, 10081, 0, 0, 1)
     assert rep.critical == (1, 720, 10800, 0, 0, 1)
     assert rep.rank_d2 == 719
+
+
+def test_report_n6_memory():
+    # One listing of Δ(6) per dimension, membership by bisecting those lists
+    # and shared descent values: the rise is about 50 MB, and was about 70 MB
+    # with a second listing, a frozenset of every cell and a new set per value.
+    betti, rise_kb = _rss_rise("from expmorse.pipeline import theorem1_report",
+                               "theorem1_report(6, include_bruteforce=False).betti")
+    assert betti == "(1, 1, 10081, 0, 0, 1)"
+    assert rise_kb < 60 * 1024

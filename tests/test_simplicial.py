@@ -16,7 +16,7 @@ from expmorse.complexes import (Complex, build_delta, complex_to_json,
 from expmorse.errors import (InvalidArgumentError, PreconditionError,
                              ResourceLimitError)
 from expmorse.graphs import complete_graph, cycle_graph, fold_core_exponential
-from oracles import BitmaskComplex, _cascade_steps, _free_family_steps
+from oracles import BitmaskComplex, _cascade_steps, _free_family_steps, all_facets_maximal
 from test_gf2 import _rss_rise
 
 
@@ -47,6 +47,18 @@ def test_faces_by_dim_matches_subset_enumeration():
             assert list(level) == sorted(level)
             assert all(len(f) == d + 1 for f in level)
             assert set(C.iter_faces_of_dim(d)) == {f for f in want if len(f) == d + 1}
+
+
+@settings(max_examples=200)
+@given(st.lists(st.lists(st.integers(0, 7), max_size=6), max_size=8), st.data())
+def test_maximality_against_all_facets_filter(facets, data):
+    # unsorted facets with repeated vertices, repeated facets, and facets
+    # nested in others (a drawn part of a drawn facet, in reversed order)
+    for f in data.draw(st.lists(st.sampled_from(facets), max_size=4)) if facets else []:
+        facets = facets + [f, list(reversed(f[:data.draw(st.integers(0, len(f)))]))]
+    C = Complex([str(i) for i in range(8)], data.draw(st.permutations(facets)))
+    assert C.facets == all_facets_maximal(facets)
+    assert C._index == [{j for j, f in enumerate(C.facets) if v in f} for v in range(8)]
 
 
 @settings(max_examples=150)
