@@ -89,17 +89,24 @@ class Complex:
                 raise InvalidArgumentError(f"facet {t} has a vertex out of range")
             canon.add(t)
         ordered = sorted(canon)
-        # Longest first: a facet can lie only inside a longer facet, never in
-        # another of its size, so each is checked against the facets kept so far.
+        # A facet can lie only inside a strictly longer facet, so sizes go
+        # longest first, and each size's kept facets join the index only once
+        # that size is done: the longest are all kept, and any other facet is
+        # checked against longer ones alone, kept at once if one of its
+        # vertices is in none of them.
         sizes = list(map(len, ordered))
-        longest = max(sizes, default=0)
         index: List[Set[int]] = [set() for _ in range(n)]
         kept: List[int] = []
-        for j in sorted(range(len(ordered)), key=sizes.__getitem__, reverse=True):
-            if sizes[j] == longest or not _holders(index, ordered[j]):
-                kept.append(j)
+        by_size = sorted(range(len(ordered)), key=sizes.__getitem__, reverse=True)
+        for _, group in itertools.groupby(by_size, key=sizes.__getitem__):
+            fresh = list(group)
+            if kept:
+                fresh = [j for j in fresh if not all(map(index.__getitem__, ordered[j]))
+                         or not _holders(index, ordered[j])]
+            for j in fresh:
                 for v in ordered[j]:
                     index[v].add(j)
+            kept += fresh
         if len(kept) == len(ordered):
             self.facets, self._index = tuple(ordered), index
         else:

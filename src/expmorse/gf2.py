@@ -13,12 +13,15 @@ from the face's sorted cofacet vertices, only where two pivots collide.
 There it is a sum of sorted runs of codes (its own cofaces and each column
 added to it), merged lazily: only the entries below the next pivot are
 read. A column that finds a fresh pivot is stored as the set XOR of the
-runs' unread tails, sorted; a column that never collided stays its face.
+runs' unread tails, sorted, in one int64 array (a list of ints where codes
+can pass int64); a column that never collided stays its face.
 """
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, insort
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate, count, takewhile
 from typing import (AbstractSet, Dict, Iterable, Iterator, List, Optional, Sequence, Set,
                     Tuple, Union)
@@ -195,7 +198,8 @@ def betti_bounded(C: Complex, maxdim: int, max_faces: int = DEFAULT_MAX_FACES) -
 
 
 def _reduce_coboundary(C: Complex, faces: List[Face],
-                       skip: AbstractSet[int]) -> Dict[int, Union[Face, List[int]]]:
+                       skip: AbstractSet[int]
+                       ) -> Dict[int, Union[Face, array[int], List[int]]]:
     """The reduced coboundary on `faces` (every face of one dimension, in lex order).
 
     Returns the nonzero reduced columns keyed by their pivots, so its size is
@@ -220,11 +224,15 @@ def _reduce_coboundary(C: Complex, faces: List[Face],
     rebuilt from its cofaces each time, never stored. On a fresh pivot the
     column is stored as the pivot followed by the sorted set XOR of the
     runs' unread tails: each run holds a code at most once, so the XOR
-    leaves exactly the codes of odd multiplicity.
+    leaves exactly the codes of odd multiplicity. It is stored as an int64
+    `array` (8 bytes a code, not a list's 36 or so), or as a list of ints
+    when codes of this level can pass int64 (base ** (k + 1) > 2 ** 63).
     """
     base, k = C.vertex_count, len(faces[0])
     powers = [base ** i for i in range(k + 1)]
     least = C.least_cofacet_vertex
+    # every coface code is below base ** (k + 1); int64 holds them up to 2**63 - 1
+    store = partial(array, "q") if base ** (k + 1) <= 2 ** 63 else list
 
     def code(face: Face) -> int:
         c = 0
@@ -253,7 +261,7 @@ def _reduce_coboundary(C: Complex, faces: List[Face],
         out += [a + v for v in verts[lo:]]
         return out
 
-    owner: Dict[int, Union[Face, List[int]]] = {}  # pivot -> its face, or its reduced column
+    owner: Dict[int, Union[Face, array[int], List[int]]] = {}  # pivot -> face or column
     for face in reversed(faces):
         c = code(face)
         if c in skip:
@@ -280,7 +288,7 @@ def _reduce_coboundary(C: Complex, faces: List[Face],
                 tails: Set[int] = set()
                 for head, _, rest in runs:
                     tails ^= {head, *rest}
-                owner[pivot] = [pivot] + sorted(tails)
+                owner[pivot] = store([pivot] + sorted(tails))
                 break
     return owner
 

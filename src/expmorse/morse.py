@@ -95,14 +95,36 @@ class Matching:
         return f"Matching({len(self.pairs)} pairs)"
 
 
+def _not_in(P: FacePoset, cells: Iterable[Face]) -> Set[Face]:
+    """The given cells that are not cells of P.
+
+    The cells are grouped by dimension and each group, sorted, is walked
+    once against that dimension's sorted level.
+    """
+    groups: Dict[int, List[Face]] = {}
+    for c in cells:
+        groups.setdefault(len(c) - 1, []).append(c)
+    out: Set[Face] = set()
+    for d, group in groups.items():
+        level = P.cells(d)
+        i, end = 0, len(level)
+        for c in sorted(group):
+            while i < end and level[i] < c:
+                i += 1
+            if i == end or level[i] != c:
+                out.add(c)
+    return out
+
+
 def validate_matching(P: FacePoset, M: Matching) -> List[str]:
     """All structural violations, as messages; empty means the matching is valid."""
     bad = []
+    absent = _not_in(P, [*M.pairs, *M.pairs.values()])
     seen_upper: Set[Face] = set()
     for low, up in M.pairs.items():
-        if low not in P:
+        if low in absent:
             bad.append(f"{low} is not a cell of the poset")
-        if up not in P:
+        if up in absent:
             bad.append(f"{up} is not a cell of the poset")
         if len(up) != len(low) + 1 or not set(low) < set(up):
             bad.append(f"{low} -> {up} is not a cover relation")

@@ -5,9 +5,10 @@ compares a fast route with a direct one: a complex indexed by dense
 per-vertex facet bitmasks, the maximality filter that checks each facet
 against every other, the NC to Delta collapse as elementary steps, whole
 boundary matrices, a coboundary reduction that sums colliding columns in
-one heap of codes, face-poset membership from one frozenset of all cells,
-a colour-marking DFS for cycles of a matching, descent values as fresh sets
-by plain recursion, an exhaustive path enumerator, and the path parity.
+one heap of codes, face-poset membership from one frozenset of all cells
+(and matching validation on it), a colour-marking DFS for cycles of a
+matching, descent values as fresh sets by plain recursion, an exhaustive
+path enumerator, and the path parity.
 """
 from __future__ import annotations
 
@@ -135,6 +136,21 @@ def all_facets_maximal(facets: Iterable[Iterable[int]]) -> Tuple[Face, ...]:
 def cell_set(P: FacePoset) -> FrozenSet[Face]:
     """Every cell of the poset in one frozenset, which answers membership by hashing."""
     return frozenset(c for d in range(P.dim + 1) for c in P.cells(d))
+
+
+def validate_matching_by_set(P: FacePoset, M: Matching) -> List[str]:
+    """`morse.validate_matching`'s messages, in its order, with membership from `cell_set`."""
+    cells = cell_set(P)
+    bad, uppers = [], set()
+    for low, up in M.pairs.items():
+        bad += [f"{c} is not a cell of the poset" for c in (low, up) if c not in cells]
+        if len(up) != len(low) + 1 or not set(low) < set(up):
+            bad.append(f"{low} -> {up} is not a cover relation")
+        if up in uppers:
+            bad.append(f"{up} is the upper cell of two pairs")
+        uppers.add(up)
+    return bad + [f"{c} appears on both sides of the matching"
+                  for c in sorted(set(M.pairs) & uppers)]
 
 
 def _free_family_steps(zs: Sequence[int], xs: Sequence[int],

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import time
+from array import array
 from pathlib import Path
 
 import pytest
@@ -285,7 +286,9 @@ def _reduces_as_heap_oracle(C, top):
     """Reduce the coboundary on levels 1..top both ways; the number of columns stored.
 
     Each level must give the oracle's pivots, and every column it stores
-    must be the oracle's, strictly ascending from its pivot.
+    must be the oracle's, strictly ascending from its pivot. Anything that is
+    not a face (a tuple) is a stored column: an int64 array where every code
+    of the level fits int64, a list of ints where one may not.
     """
     levels = [list(C.iter_faces_of_dim(d)) for d in range(top + 1)]
     skip = {_code(levels[1][j], C.vertex_count)
@@ -296,7 +299,10 @@ def _reduces_as_heap_oracle(C, top):
         want = heap_reduce_coboundary(C, levels[k], skip)
         assert set(got) == set(want), k
         for pivot, col in got.items():
-            if isinstance(col, list):
+            if not isinstance(col, tuple):
+                # a column of level k holds codes of k + 2 digits
+                assert isinstance(col, array) == (C.vertex_count ** (k + 2) <= 2 ** 63)
+                col = list(col)
                 assert col == want[pivot], (k, pivot)
                 assert col[0] == pivot and all(a < b for a, b in zip(col, col[1:])), (k, pivot)
                 stored += 1
@@ -310,6 +316,20 @@ def _reduces_as_heap_oracle(C, top):
 def test_coboundary_runs_against_heap_oracle(facets):
     # facets this large on 14 labels collide for several steps per column
     C = Complex([str(i) for i in range(14)], facets)
+    _reduces_as_heap_oracle(C, C.dim)
+
+
+_PAD = 10 ** 5
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 13), min_size=4, max_size=9, unique=True),
+                min_size=4, max_size=12))
+def test_coboundary_runs_past_int64_against_heap_oracle(facets):
+    # on the top 14 of 10^5 + 14 labels, codes of four or more digits can pass
+    # int64, so those levels store their columns as lists, not arrays
+    C = Complex([str(i) for i in range(_PAD + 14)], [[_PAD + v for v in f] for f in facets])
+    assert C.vertex_count ** 4 > 2 ** 63
     _reduces_as_heap_oracle(C, C.dim)
 
 
@@ -351,7 +371,9 @@ def test_delta6_brute_force_memory():
 def test_nc5_brute_force_memory():
     # NC(5)'s ∂₂ pass stores only its 599 reduced columns: the 11,939
     # apparent columns that collide are rebuilt from their faces each time.
-    # Kept as code lists, they made this rise 48 MB; it is about 20 MB without.
+    # Kept as code lists, they made this rise 48 MB; it was about 20 MB
+    # without them, and is about 11 MB with the 312,396 codes of the reduced
+    # columns in int64 arrays rather than lists of ints.
     betti, rise_kb = _rss_rise("from expmorse.complexes import neighborhood_complex\n"
                                "from expmorse.gf2 import betti_bounded\n"
                                "from expmorse.graphs import fold_core_exponential\n"
@@ -359,7 +381,20 @@ def test_nc5_brute_force_memory():
                                "NC = neighborhood_complex(fold_core_exponential(6, 5))",
                                "betti_bounded(NC, NC.dim, max_faces=_NC_MAX_FACES).betti")
     assert betti == "(1, 1)"
-    assert rise_kb < 30 * 1024
+    assert rise_kb < 15 * 1024
+
+
+def test_reproduce_n5_memory():
+    # the NC(5) brute-force pass sets the peak of the paper's headline run:
+    # about 16.5 MB above the imports, 25.5 MB with reduced columns as lists
+    code, rise_kb = _rss_rise("import contextlib, io\n"
+                              "from expmorse import cli\n"
+                              "def run():\n"
+                              "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                              "        return cli.main(['reproduce', '--n', '5'])",
+                              "run()")
+    assert code == "0"
+    assert rise_kb < 21 * 1024
 
 
 def test_betti_of_chain_rejects_bad_chains():

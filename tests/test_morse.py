@@ -17,7 +17,7 @@ from expmorse.morse import (_EMPTY, AcyclicityResult, DescentCache, FacePoset, M
                             critical_cells, face_poset, is_acyclic, morse_boundaries,
                             path_cells, validate_matching)
 from oracles import (FreshDescent, alternating_path_parity, cell_set, dfs_acyclicity,
-                     enumerate_alternating_paths)
+                     enumerate_alternating_paths, validate_matching_by_set)
 
 SQUARE = Complex(list("abcd"), [(0, 1), (1, 2), (2, 3), (0, 3)])
 CYCLIC_MATCHING = Matching({(0,): (0, 1), (1,): (1, 2), (2,): (2, 3), (3,): (0, 3)})
@@ -104,6 +104,23 @@ def test_membership_by_bisection_against_frozenset(facets, queries):
     assert P.size == len(cells)
     for q in sorted(cells) + [tuple(q) for q in queries] + [(), tuple(range(7)), (0,) * 9]:
         assert (q in P) == (q in cells), q
+
+
+@settings(max_examples=150)
+@given(st.lists(st.lists(st.integers(0, 6), min_size=1, max_size=5), min_size=1, max_size=6),
+       st.lists(st.tuples(st.lists(st.integers(-1, 7), max_size=4),
+                          st.lists(st.integers(-1, 7), max_size=5)), max_size=10),
+       st.randoms(use_true_random=False))
+def test_validate_matching_against_frozenset(facets, drawn, rng):
+    # cover pairs of the poset mixed with drawn pairs: non-cells, non-covers,
+    # reused uppers and cells on both sides all give the oracle's messages
+    P = face_poset(Complex([str(i) for i in range(7)], facets))
+    cover = [(low, up) for d in range(P.dim) for up in P.cells(d + 1)
+             for low in itertools.combinations(up, d + 1)]
+    pairs = dict(rng.sample(cover, min(len(cover), 6)))
+    pairs.update((tuple(a), tuple(b)) for a, b in drawn)
+    M = Matching(pairs)
+    assert validate_matching(P, M) == validate_matching_by_set(P, M)
 
 
 def test_morse_chain_with_only_critical_vertices():

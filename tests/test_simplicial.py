@@ -53,12 +53,22 @@ def test_faces_by_dim_matches_subset_enumeration():
 @given(st.lists(st.lists(st.integers(0, 7), max_size=6), max_size=8), st.data())
 def test_maximality_against_all_facets_filter(facets, data):
     # unsorted facets with repeated vertices, repeated facets, and facets
-    # nested in others (a drawn part of a drawn facet, in reversed order)
+    # nested in others (a drawn part of a drawn facet, in reversed order,
+    # and its last part of the same length, often a second facet of that size)
     for f in data.draw(st.lists(st.sampled_from(facets), max_size=4)) if facets else []:
-        facets = facets + [f, list(reversed(f[:data.draw(st.integers(0, len(f)))]))]
+        k = data.draw(st.integers(0, len(f)))
+        facets = facets + [f, list(reversed(f[:k])), f[len(f) - k:]]
     C = Complex([str(i) for i in range(8)], data.draw(st.permutations(facets)))
     assert C.facets == all_facets_maximal(facets)
     assert C._index == [{j for j, f in enumerate(C.facets) if v in f} for v in range(8)]
+
+
+def test_maximality_with_equal_sizes_under_a_longer_facet():
+    # three triangles and an edge inside the 4-simplex go; the triangle off
+    # it, and the edge whose vertex 5 lies in no longer facet, stay
+    facets = [(0, 1, 2), (1, 2, 3), (0, 2, 4), (0, 1, 2, 3, 4), (3, 4, 6), (4, 5), (2, 3)]
+    C = Complex([str(i) for i in range(7)], facets)
+    assert C.facets == all_facets_maximal(facets) == ((0, 1, 2, 3, 4), (3, 4, 6), (4, 5))
 
 
 @settings(max_examples=150)
