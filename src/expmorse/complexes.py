@@ -2,29 +2,29 @@
 
 Faces are sorted tuples of vertex indices. A complex stores only its maximal
 faces and one facet index: for each vertex, the set of ids (positions in
-`facets`) of the facets that contain it. "Which facets contain this face?"
-intersects those sets, smallest first; membership, cofacets, the maximality
-filter and free-face collapses all ask it that way. Nothing else is kept per
+`facets`) of the facets that contain it; the vertices in no facet share one
+empty frozenset. "Which facets contain this face?" intersects those sets,
+smallest first; membership, cofacets, the maximality filter and free-face
+collapses all ask it that way. Nothing else is kept per
 facet: the cofacet vertices of a face are read off the facets that hold it,
 as a sorted list, and the least of them from one scan of each such facet.
 The faces of each dimension are listed once, when first asked for, and kept.
 
-`Complex.collapse` takes two step shapes against that index. An elementary
-step (face, facet) removes the faces between a free face and its facet. A
-family step (zs, xs, ys) removes at once every face of the facet
-zs + xs + ys that holds zs and two or more vertices of xs; fixing y0 in ys
-and pairing each such face t with t △ {y0} spells it out as elementary
-collapses, from the top dimension down. The collapsed model Δ is built
-directly from its four facet families (`build_delta`), and is reached from
-the neighborhood complex by three stages of family steps
-(`delta_via_collapse`), which certifies that the two are homotopy equivalent.
+`Complex.collapse` takes one step shape against that index: a family step
+(zs, xs, ys) removes at once every face of the facet zs + xs + ys that holds
+zs and two or more vertices of xs; fixing y0 in ys and pairing each such
+face t with t △ {y0} spells it out as elementary collapses, from the top
+dimension down. The collapsed model Δ is built directly from its four facet
+families (`build_delta`), and is reached from the neighborhood complex by
+three stages of family steps (`delta_via_collapse`), which certifies that
+the two are homotopy equivalent.
 """
 from __future__ import annotations
 
 import itertools
 from collections import Counter
 from math import comb
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import AbstractSet, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .errors import InvalidArgumentError, PreconditionError, ResourceLimitError
 from .graphs import Graph, FnVertex, core_vertices, fold_core_exponential, neighborhood, variant
@@ -44,7 +44,7 @@ DEFAULT_MAX_FACES = 5_000_000
 Face = Tuple[int, ...]
 
 
-def _holders(index: Sequence[Set[int]], face: Sequence[int]) -> Set[int]:
+def _holders(index: Sequence[AbstractSet[int]], face: Sequence[int]) -> AbstractSet[int]:
     """A new set of the ids of the facets containing `face` (nonempty, in range).
 
     Each intersection iterates over its smaller operand, so beyond two
@@ -56,8 +56,16 @@ def _holders(index: Sequence[Set[int]], face: Sequence[int]) -> Set[int]:
     return sets[0].intersection(*sets[1:])
 
 
-def _facet_index(facets: Sequence[Face], n: int) -> List[Set[int]]:
-    index: List[Set[int]] = [set() for _ in range(n)]
+def _empty_index(facets: Sequence[Face], n: int) -> List[AbstractSet[int]]:
+    """An empty set for each vertex of some facet; the other vertices share one frozenset."""
+    index: List[AbstractSet[int]] = [frozenset()] * n
+    for v in sorted(set().union(*facets)):  # the union is freed before the sets are made
+        index[v] = set()
+    return index
+
+
+def _facet_index(facets: Sequence[Face], n: int) -> List[AbstractSet[int]]:
+    index = _empty_index(facets, n)
     for j, f in enumerate(facets):
         for v in f:
             index[v].add(j)
@@ -95,7 +103,7 @@ class Complex:
         # checked against longer ones alone, kept at once if one of its
         # vertices is in none of them.
         sizes = list(map(len, ordered))
-        index: List[Set[int]] = [set() for _ in range(n)]
+        index = _empty_index(ordered, n)
         kept: List[int] = []
         by_size = sorted(range(len(ordered)), key=sizes.__getitem__, reverse=True)
         for _, group in itertools.groupby(by_size, key=sizes.__getitem__):
@@ -193,33 +201,24 @@ class Complex:
         """`faces_of_dim(dim)`, one face at a time."""
         return iter(self.faces_of_dim(dim))
 
-    def faces_by_dim(self, maxdim: int) -> List[List[Face]]:
-        """The lists `faces_of_dim` keeps, for dimensions 0..maxdim; none above `dim`.
+    def faces_by_dim(self) -> List[List[Face]]:
+        """The lists `faces_of_dim` keeps, for dimensions 0..dim.
 
-        Refused when the face estimates of dimensions 0..maxdim sum past
+        Refused when the face estimates of those dimensions sum past
         DEFAULT_MAX_FACES; the sum stops at the first dimension that does.
         """
-        top = min(maxdim, self.dim)
-        for total in itertools.accumulate(map(self.face_count_estimate, range(top + 1))):
+        for total in itertools.accumulate(map(self.face_count_estimate, range(self.dim + 1))):
             if total > DEFAULT_MAX_FACES:
                 raise ResourceLimitError(
-                    f"enumerating faces up to dim {maxdim} needs at least {total} "
+                    f"enumerating faces up to dim {self.dim} needs at least {total} "
                     f"steps (largest facet has {self.dim + 1} vertices), over the bound "
                     f"{DEFAULT_MAX_FACES}", bound=DEFAULT_MAX_FACES)
-        return [self.faces_of_dim(d) for d in range(top + 1)] + [[] for _ in range(maxdim - top)]
+        return [self.faces_of_dim(d) for d in range(self.dim + 1)]
 
-    def collapse(self, steps: Iterable[Sequence[Optional[Sequence[int]]]]) -> "Complex":
-        """Apply collapses in order; each is checked against the complex as it stands.
+    def collapse(self, steps: Iterable[Sequence[Sequence[int]]]) -> "Complex":
+        """Apply family steps (zs, xs, ys) in order, each checked against the complex as it stands.
 
-        A step is elementary, (face, facet), or a family step, (zs, xs, ys).
-
-        An elementary step needs `face` to be a proper nonempty subset of
-        `facet` and `facet` to be the only facet containing `face`; a facet
-        of None means "the only facet containing face". The step removes the
-        interval between them: `facet` goes, and `facet` minus each vertex of
-        `face` becomes a facet unless a remaining facet already contains it.
-
-        A family step needs disjoint parts with |xs| >= 2 and ys nonempty,
+        A step needs disjoint parts with |xs| >= 2 and ys nonempty,
         F = zs + xs + ys to be a facet, and no other facet to contain zs
         together with two vertices of xs. It removes every face of F that
         holds zs and two or more vertices of xs: F goes, and zs + {x} + ys for
@@ -228,53 +227,39 @@ class Complex:
         elementary collapses: fix y0 in ys and pair each removed face t with
         t △ {y0}, which is removed too. Only F holds the removed faces, so,
         taken from the top dimension down, each pair (t - {y0}, t + {y0}) is
-        an elementary collapse.
+        an elementary collapse. Conversely, for a free face σ of F with
+        |σ| >= 2 and a, b in σ, the elementary collapse (σ, F) is the step
+        (σ - {a, b}, {a, b}, F - σ), with the same precondition, the same
+        removed faces and the same new facets {F - s : s in σ}.
         """
         n = len(self.labels)
         table = dict(enumerate(self.facets))  # id -> facet, for the facets not removed yet
         fresh = itertools.count(len(table))
-        index = [set(ids) for ids in self._index]
+        # a vertex in no facet keeps the shared frozenset: new facets lie in removed ones
+        index = [set(ids) if ids else ids for ids in self._index]
         for step in steps:
-            if len(step) == 3:
-                zs, xs, ys = (tuple(sorted(set(part))) for part in step)
-                facet = tuple(sorted(zs + xs + ys))
-                if (len(set(facet)) < len(facet) or len(xs) < 2 or not ys
-                        or facet[0] < 0 or facet[-1] >= n):
-                    raise InvalidArgumentError(
-                        f"family step {zs}, {xs}, {ys} needs disjoint parts, two or more xs, "
-                        "some ys and every vertex in range")
-                found = _holders(index, facet)
-                j = next(iter(found), None)
-                if len(found) != 1 or table[j] != facet:
-                    raise PreconditionError(f"{facet} is not a facet")
-                # F holds zs and each x; another facet holding zs and two xs is a repeated id
-                hits = [_holders(index, zs + (x,)) for x in xs]
-                if len(set().union(*hits)) + len(xs) - 1 < sum(map(len, hits)):
-                    raise PreconditionError(f"another facet holds {zs} with two of {xs}")
-                rests = ([tuple(sorted(zs + (x,) + ys)) for x in xs]
-                         + [tuple(v for v in facet if v != z) for z in zs])
-            else:
-                face, facet = step
-                face = tuple(sorted(set(face)))
-                if not face or face[0] < 0 or face[-1] >= n:
-                    raise InvalidArgumentError(f"face {face} is empty or has a vertex out of range")
-                found = _holders(index, face)
-                j = next(iter(found), None)
-                if facet is None:
-                    if len(found) != 1:
-                        raise PreconditionError(
-                            f"face {face} should have a unique facet, found {len(found)}")
-                    facet = table[j]
-                facet = tuple(sorted(set(facet)))
-                if not set(face) < set(facet):
-                    raise InvalidArgumentError(f"{face} is not a proper nonempty subset of {facet}")
-                if len(found) != 1 or table[j] != facet:
-                    raise PreconditionError(f"{face} is not a free face of {facet}")
-                rests = [tuple(v for v in facet if v != s) for s in face]
+            if len(step) != 3:
+                raise InvalidArgumentError(f"a collapse step is (zs, xs, ys), not {step}")
+            zs, xs, ys = (tuple(sorted(set(part))) for part in step)
+            facet = tuple(sorted(zs + xs + ys))
+            if (len(set(facet)) < len(facet) or len(xs) < 2 or not ys
+                    or facet[0] < 0 or facet[-1] >= n):
+                raise InvalidArgumentError(
+                    f"family step {zs}, {xs}, {ys} needs disjoint parts, two or more xs, "
+                    "some ys and every vertex in range")
+            found = _holders(index, facet)
+            j = next(iter(found), None)
+            if len(found) != 1 or table[j] != facet:
+                raise PreconditionError(f"{facet} is not a facet")
+            # F holds zs and each x; another facet holding zs and two xs is a repeated id
+            hits = [_holders(index, zs + (x,)) for x in xs]
+            if len(set().union(*hits)) + len(xs) - 1 < sum(map(len, hits)):
+                raise PreconditionError(f"another facet holds {zs} with two of {xs}")
             del table[j]
             for v in facet:
                 index[v].discard(j)
-            for rest in rests:
+            for rest in ([tuple(sorted(zs + (x,) + ys)) for x in xs]
+                         + [tuple(v for v in facet if v != z) for z in zs]):
                 if not _holders(index, rest):
                     k = next(fresh)
                     table[k] = rest

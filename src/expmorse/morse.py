@@ -69,7 +69,7 @@ class FacePoset:
 
 def face_poset(C: Complex) -> FacePoset:
     """Every face of the complex, its own kept face lists, under `faces_by_dim`'s face budget."""
-    return FacePoset(C.faces_by_dim(C.dim))
+    return FacePoset(C.faces_by_dim())
 
 
 class Matching:

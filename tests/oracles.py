@@ -2,13 +2,14 @@
 
 The program never calls these. They are written plainly, so that a test
 compares a fast route with a direct one: a complex indexed by dense
-per-vertex facet bitmasks, the maximality filter that checks each facet
-against every other, the NC to Delta collapse as elementary steps, whole
-boundary matrices, a coboundary reduction that sums colliding columns in
-one heap of codes, face-poset membership from one frozenset of all cells
-(and matching validation on it), a colour-marking DFS for cycles of a
-matching, descent values as fresh sets by plain recursion, an exhaustive
-path enumerator, and the path parity.
+per-vertex facet bitmasks with the elementary free-face collapse, the
+maximality filter that checks each facet against every other, the NC to
+Delta collapse as elementary steps, whole boundary matrices, a coboundary
+reduction that sums colliding columns in one heap of codes, face-poset
+membership from one frozenset of all cells (and matching validation on
+it), a colour-marking DFS for cycles of a matching, descent values as
+fresh sets by plain recursion, an exhaustive path enumerator, and the path
+parity.
 """
 from __future__ import annotations
 
@@ -24,11 +25,13 @@ from expmorse.morse import AcyclicityResult, FacePoset, Matching
 
 
 class BitmaskComplex:
-    """`Complex`'s facets, membership, cofacets and collapse, on other data structures.
+    """`Complex`'s facets, membership and cofacets on other data structures, and the elementary collapse.
 
     Bit j of `_vmask[v]` says that facet j contains vertex v, so the facets
-    containing a face are the AND of its vertices' masks. A collapse keeps,
-    per vertex, the set of facet tuples that contain it.
+    containing a face are the AND of its vertices' masks. `collapse` is the
+    only elementary collapse, (face, facet) steps that `Complex.collapse`
+    checks its family steps against; it keeps, per vertex, the set of facet
+    tuples that contain it.
     """
 
     def __init__(self, labels: Sequence[str], facets: Iterable[Iterable[int]]):
@@ -213,9 +216,8 @@ def boundary_matrix(C: Complex, k: int) -> Gf2Matrix:
     """The k-th boundary matrix: rows are (k-1)-faces, columns are k-faces, lex order."""
     if k < 1:
         raise InvalidArgumentError("boundary matrices start at k = 1")
-    levels = C.faces_by_dim(k)
-    row = {f: i for i, f in enumerate(levels[k - 1])}
-    return Gf2Matrix([sum(1 << row[s] for s in _subfaces(face)) for face in levels[k]],
+    row = {f: i for i, f in enumerate(C.faces_of_dim(k - 1))}
+    return Gf2Matrix([sum(1 << row[s] for s in _subfaces(face)) for face in C.faces_of_dim(k)],
                      len(row))
 
 

@@ -192,7 +192,7 @@ def test_budget_checks_stop_at_the_first_dimension_over_the_budget(monkeypatch):
     assert calls == [0, 1, 2]
     calls.clear()
     with pytest.raises(ResourceLimitError, match="needs at least 66018450 steps"):
-        C.faces_by_dim(C.dim)
+        C.faces_by_dim()
     assert calls == [0, 1, 2, 3]
 
 
@@ -269,7 +269,7 @@ def test_cleared_coboundary_pairs_as_dense_reduction(facets):
     # cleared by the (k-1)-faces paired one level down, are the k-faces whose
     # boundary column is independent of the columns before it in lex order
     C = Complex([str(i) for i in range(9)], facets)
-    levels = C.faces_by_dim(C.dim)
+    levels = C.faces_by_dim()
 
     def dense_paired(k):
         cols = boundary_matrix(C, k).cols

@@ -97,7 +97,7 @@ def test_benchmark_tracer_installs_on_the_real_modules():
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert cli.main(['reproduce', '--n', '3']) == 0\n"
         "t.enumerate_nc_faces()\n"
-        "want = [len(level) for C, _ in t.nc_calls for level in C.faces_by_dim(C.dim)]\n"
+        "want = [len(level) for C, _ in t.nc_calls for level in C.faces_by_dim()]\n"
         "got = [s[4]['faces'] for s in t.spans if s[0] == 'complexes.enum']\n"
         "print(json.dumps([got, want]))\n")
     env = dict(os.environ)
