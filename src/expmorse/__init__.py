@@ -11,10 +11,10 @@ from .graphs import (FnVertex, Graph, categorical_product, complete_graph,
                      core_vertices, cycle_graph, exponential_graph, find_fold,
                      fold_core_exponential, fold_reduce, graph_from_json,
                      graph_to_json, neighborhood, variant)
-from .homc import enumerate_hom_cells, order_complex_of_hom
+from .homc import HomPoset, enumerate_hom_cells, hom_poset, order_complex_of_hom
 from .morse import (AcyclicityResult, CriticalSet, DescentCache, FacePoset,
-                    Matching, critical_cells, face_poset, is_acyclic,
-                    morse_boundaries, validate_matching)
+                    critical_cells, face_poset, is_acyclic, morse_boundaries,
+                    validate_matching)
 from .pipeline import (LEMMA_KEYS, CorollaryReport, PipelineReport,
                        build_matching_mu, closed_form_critical,
                        corollary1_report, delta_poset, incidence_matrix_A,

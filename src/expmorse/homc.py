@@ -1,12 +1,14 @@
-"""Hom complexes of graphs and their order complexes.
+"""Hom complexes of graphs, their cell posets and their order complexes.
 
 A cell of Hom(G, H) assigns to each vertex of G a nonempty set of vertices
 of H such that every product of assigned sets along an edge of G (loops
 included) lands inside the edge set of H. A cell is a tuple of ints, one per
 vertex of G, whose set bits are the vertices of H assigned to it. The face
 relation is componentwise inclusion; a face one dimension down clears one
-bit of one mask that has two or more. Taking the order complex of this
-poset gives a simplicial model whose homology is the standard one.
+bit of one mask that has two or more. `HomPoset` is that face rule on the
+Morse engine's `FacePoset`, so matchings on Hom cells run through
+`morse.DescentCache` unchanged. Taking the order complex of this poset
+gives a simplicial model whose homology is the standard one.
 """
 from __future__ import annotations
 
@@ -15,9 +17,12 @@ from typing import List, Sequence, Tuple
 from .complexes import DEFAULT_MAX_FACES, Complex
 from .errors import InvalidArgumentError, ResourceLimitError
 from .graphs import Graph, _bits
+from .morse import FacePoset
 
 __all__ = [
     "enumerate_hom_cells",
+    "HomPoset",
+    "hom_poset",
     "order_complex_of_hom",
     "DEFAULT_MAX_CONFIGS",
 ]
@@ -76,6 +81,42 @@ def enumerate_hom_cells(G: Graph, H: Graph) -> List[Cell]:
     return cells
 
 
+class HomPoset(FacePoset):
+    """Hom cells grouped by dimension, each level ascending, with the Hom face rule.
+
+    A cell's dimension is its number of assigned vertices minus its number
+    of masks; its facets clear one bit of one mask that has two or more.
+    """
+
+    __slots__ = ()
+
+    @staticmethod
+    def dim_of(cell: Cell) -> int:
+        return sum(s.bit_count() for s in cell) - len(cell)
+
+    @staticmethod
+    def facets(cell: Cell) -> List[Cell]:
+        out = []
+        for pos, s in enumerate(cell):
+            if s & (s - 1):
+                head, tail = cell[:pos], cell[pos + 1:]
+                rest = s
+                while rest:  # each set bit of s, lowest first
+                    bit = rest & -rest
+                    out.append(head + (s ^ bit,) + tail)
+                    rest ^= bit
+        return out
+
+
+def hom_poset(cells: Sequence[Cell]) -> HomPoset:
+    """The given hom cells as a HomPoset, each level sorted."""
+    dims = [HomPoset.dim_of(c) for c in cells]
+    levels: List[List[Cell]] = [[] for _ in range(max(dims, default=-1) + 1)]
+    for d, c in zip(dims, cells):
+        levels[d].append(c)
+    return HomPoset([sorted(level) for level in levels])
+
+
 def order_complex_of_hom(cells: Sequence[Cell],
                          max_faces: int = DEFAULT_MAX_FACES) -> Complex:
     """Order complex of a hom cell poset.
@@ -88,26 +129,24 @@ def order_complex_of_hom(cells: Sequence[Cell],
     hold more than `max_faces` vertices in total; that total is the first
     face count `betti_bounded` checks, so nothing it would accept is refused.
     """
+    P = hom_poset(cells)
     index = {c: i for i, c in enumerate(cells)}
     parents: List[List[int]] = [[] for _ in cells]
     minimal = []
     for i, c in enumerate(cells):
         faces = 0
-        for pos, s in enumerate(c):
-            if s & (s - 1):  # two or more bits: each can be cleared
-                for x in _bits(s):
-                    j = index.get(c[:pos] + (s ^ (1 << x),) + c[pos + 1:])
-                    if j is not None:
-                        parents[j].append(i)
-                        faces += 1
+        for f in P.facets(c):
+            j = index.get(f)
+            if j is not None:
+                parents[j].append(i)
+                faces += 1
         if not faces:
             minimal.append(i)
     # Chains up from each cell and the vertices they hold. A parent has one
-    # dimension more than its child, so parents are counted first.
-    dims = [sum(s.bit_count() for s in c) - len(c) for c in cells]
+    # dimension more than its child, so the levels are walked top down.
     chains = [0] * len(cells)
     held = [0] * len(cells)
-    for i in sorted(range(len(cells)), key=lambda i: -dims[i]):
+    for i in (index[c] for d in range(P.dim, -1, -1) for c in P.cells(d)):
         ups = parents[i]
         chains[i] = sum(chains[j] for j in ups) if ups else 1
         held[i] = chains[i] + sum(held[j] for j in ups)

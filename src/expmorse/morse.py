@@ -1,9 +1,14 @@
-"""Discrete Morse machinery: face posets, matchings, critical cells, path parities.
+"""Discrete Morse machinery: cell posets, matchings, critical cells, path parities.
 
-A matching pairs a cell with a cofacet; acyclic matchings induce a chain
-complex on the critical cells whose boundary entries count alternating
-descent paths mod 2. A DescentCache holds the one memoized walk of a
-matching's descent relation: the acyclicity certificate, the boundary
+A cell poset owns its face rule: `FacePoset.dim_of` and `FacePoset.facets`
+give a cell's dimension and the cells one dimension down that it covers.
+Every function here reads that rule from the poset, so the same engine runs
+on a simplicial complex's faces and on any other poset that overrides the
+two methods, such as `homc.HomPoset`. A matching is a plain dict, lower
+cell -> upper cell, pairing a cell with a cofacet; acyclic matchings induce
+a chain complex on the critical cells whose boundary entries count
+alternating descent paths mod 2. A DescentCache holds the one memoized walk
+of a matching's descent relation: the acyclicity certificate, the boundary
 supports and the cells on alternating paths all read that one memo.
 """
 from __future__ import annotations
@@ -18,7 +23,6 @@ from .gf2 import Gf2Matrix
 
 __all__ = [
     "FacePoset",
-    "Matching",
     "CriticalSet",
     "AcyclicityResult",
     "face_poset",
@@ -31,12 +35,14 @@ __all__ = [
 ]
 
 
-def _subfaces(cell: Face) -> List[Face]:
-    return [cell[:t] + cell[t + 1:] for t in range(len(cell))]
-
-
 class FacePoset:
-    """All nonempty faces of a complex, grouped by dimension, each level in lex order."""
+    """All nonempty faces of a complex, grouped by dimension, each level in lex order.
+
+    The poset owns its face rule. Here a cell is a sorted vertex tuple of
+    dimension one less than its size, and its facets are its one-vertex
+    deletions; a subclass whose cells are something else overrides both
+    `dim_of` and `facets`.
+    """
 
     __slots__ = ("cells_by_dim",)
 
@@ -51,9 +57,18 @@ class FacePoset:
     def size(self) -> int:
         return sum(map(len, self.cells_by_dim))
 
+    @staticmethod
+    def dim_of(cell: Face) -> int:
+        return len(cell) - 1
+
+    @staticmethod
+    def facets(cell: Face) -> List[Face]:
+        """The cells one dimension down that `cell` covers."""
+        return [cell[:t] + cell[t + 1:] for t in range(len(cell))]
+
     def __contains__(self, cell: Face) -> bool:
         """Whether `cell` sits in its dimension's sorted level, found by bisection."""
-        d = len(cell) - 1
+        d = self.dim_of(cell)
         if not 0 <= d < len(self.cells_by_dim):
             return False
         level = self.cells_by_dim[d]
@@ -72,29 +87,6 @@ def face_poset(C: Complex) -> FacePoset:
     return FacePoset(C.faces_by_dim())
 
 
-class Matching:
-    """A pairing of cells with cofacets, stored as lower cell -> upper cell."""
-
-    __slots__ = ("pairs",)
-
-    def __init__(self, pairs: Dict[Face, Face]):
-        self.pairs = dict(pairs)
-
-    def reverse(self) -> Dict[Face, Face]:
-        rev: Dict[Face, Face] = {}
-        for low, up in self.pairs.items():
-            if up in rev:
-                raise InternalConsistencyError(f"cell {up} is matched twice")
-            rev[up] = low
-        return rev
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def __repr__(self) -> str:
-        return f"Matching({len(self.pairs)} pairs)"
-
-
 def _not_in(P: FacePoset, cells: Iterable[Face]) -> Set[Face]:
     """The given cells that are not cells of P.
 
@@ -103,7 +95,7 @@ def _not_in(P: FacePoset, cells: Iterable[Face]) -> Set[Face]:
     """
     groups: Dict[int, List[Face]] = {}
     for c in cells:
-        groups.setdefault(len(c) - 1, []).append(c)
+        groups.setdefault(P.dim_of(c), []).append(c)
     out: Set[Face] = set()
     for d, group in groups.items():
         level = P.cells(d)
@@ -116,22 +108,27 @@ def _not_in(P: FacePoset, cells: Iterable[Face]) -> Set[Face]:
     return out
 
 
-def validate_matching(P: FacePoset, M: Matching) -> List[str]:
-    """All structural violations, as messages; empty means the matching is valid."""
+def validate_matching(P: FacePoset, pairs: Dict[Face, Face]) -> List[str]:
+    """All structural violations of the matching `pairs` (lower -> upper), as messages.
+
+    Empty means the matching is valid. A pair is a cover relation when its
+    upper cell is a cell of P and its lower cell is one of that cell's
+    facets under P's face rule, which is applied to cells of P only.
+    """
     bad = []
-    absent = _not_in(P, [*M.pairs, *M.pairs.values()])
+    absent = _not_in(P, [*pairs, *pairs.values()])
     seen_upper: Set[Face] = set()
-    for low, up in M.pairs.items():
+    for low, up in pairs.items():
         if low in absent:
             bad.append(f"{low} is not a cell of the poset")
         if up in absent:
             bad.append(f"{up} is not a cell of the poset")
-        if len(up) != len(low) + 1 or not set(low) < set(up):
+        if up in absent or low not in P.facets(up):
             bad.append(f"{low} -> {up} is not a cover relation")
         if up in seen_upper:
             bad.append(f"{up} is the upper cell of two pairs")
         seen_upper.add(up)
-    overlap = set(M.pairs) & seen_upper
+    overlap = set(pairs) & seen_upper
     for cell in sorted(overlap):
         bad.append(f"{cell} appears on both sides of the matching")
     return bad
@@ -184,7 +181,11 @@ def _xor(supports: Iterable[FrozenSet[Face]], memo: Dict[Face, FrozenSet[Face]]
 
 
 class DescentCache:
-    """The descent of one matching, walked once and memoized.
+    """The descent of one matching on a poset, walked once and memoized.
+
+    `pairs` maps each matched lower cell to its upper cell; an upper cell
+    named twice raises InternalConsistencyError. The descent reads the
+    poset's face rule.
 
     For a cell x, sets(x) is the set of critical cells of the same dimension
     reachable from x by descent with odd path count: a critical cell reaches
@@ -206,15 +207,21 @@ class DescentCache:
     (lower, upper, ..., the first lower again) as its `cycle` attribute.
     """
 
-    def __init__(self, M: Matching):
-        self.pairs = M.pairs
-        self.upper = M.reverse()
+    def __init__(self, P: FacePoset, pairs: Dict[Face, Face]):
+        self.poset = P
+        self.pairs = pairs
+        self.upper: Dict[Face, Face] = {}
+        for low, up in pairs.items():
+            if up in self.upper:
+                raise InternalConsistencyError(f"cell {up} is matched twice")
+            self.upper[up] = low
         self._memo: Dict[Face, FrozenSet[Face]] = {}
         self._supports: Dict[Face, FrozenSet[Face]] = {}
         self._cancelled: Set[Face] = set()  # productive cells with an empty set
 
     def sets(self, cell: Face) -> FrozenSet[Face]:
         pairs, upper, memo, cancelled = self.pairs, self.upper, self._memo, self._cancelled
+        facets = self.poset.facets
         path: List[Tuple[Face, List[Face]]] = []
         depth: Dict[Face, int] = {}  # cell -> its frame on the path
         x: Optional[Face] = cell
@@ -231,7 +238,7 @@ class DescentCache:
                     raise err
                 else:
                     depth[x] = len(path)
-                    path.append((x, [y for y in _subfaces(up) if y != x]))
+                    path.append((x, [y for y in facets(up) if y != x]))
             if not path:
                 return memo[cell]
             top, kids = path[-1]
@@ -249,7 +256,8 @@ class DescentCache:
     def boundary_support(self, tau: Face) -> FrozenSet[Face]:
         s = self._supports.get(tau)
         if s is None:
-            s = self._supports[tau] = _xor((self.sets(y) for y in _subfaces(tau)), self._memo)
+            facets = self.poset.facets(tau)
+            s = self._supports[tau] = _xor((self.sets(y) for y in facets), self._memo)
         return s
 
 
@@ -274,9 +282,9 @@ def path_cells(cache: DescentCache, starts: Sequence[Face]) -> Set[Face]:
     Only productive branches lie on actual paths. Requires an acyclic
     matching.
     """
-    pairs, productive = cache.pairs, cache.productive
+    pairs, productive, facets = cache.pairs, cache.productive, cache.poset.facets
     seen: Set[Face] = set(starts)
-    agenda = [y for tau in starts for y in _subfaces(tau) if productive(y)]
+    agenda = [y for tau in starts for y in facets(tau) if productive(y)]
     while agenda:
         x = agenda.pop()
         if x in seen:
@@ -286,7 +294,7 @@ def path_cells(cache: DescentCache, starts: Sequence[Face]) -> Set[Face]:
         if up is None:
             continue
         seen.add(up)
-        agenda.extend(y for y in _subfaces(up) if y != x and productive(y))
+        agenda.extend(y for y in facets(up) if y != x and productive(y))
     return seen
 
 

@@ -19,8 +19,8 @@ from .errors import (InternalConsistencyError, InvalidArgumentError,
 from .gf2 import BettiTable, Gf2Matrix, betti_bounded, betti_of_chain, rank_gf2
 from .graphs import FnVertex, core_vertices, fold_core_exponential, variant
 from .morse import (AcyclicityResult, CriticalSet, DescentCache, FacePoset,
-                    Matching, critical_cells, face_poset, is_acyclic,
-                    morse_boundaries, path_cells, validate_matching)
+                    critical_cells, face_poset, is_acyclic, morse_boundaries,
+                    path_cells, validate_matching)
 
 __all__ = [
     "PipelineReport",
@@ -62,8 +62,8 @@ def delta_poset(n: int) -> FacePoset:
 
 
 @lru_cache(maxsize=None)
-def build_matching_mu(n: int) -> Matching:
-    """The two-stage matching on the collapsed model.
+def build_matching_mu(n: int) -> Dict[Face, Face]:
+    """The two-stage matching on the collapsed model, lower cell -> upper cell.
 
     Stage one pairs every cell not containing <1> with its extension by <1>
     whenever that extension is a cell. Stage two matches the surviving
@@ -123,7 +123,7 @@ def build_matching_mu(n: int) -> Matching:
             raise InternalConsistencyError(f"pair target {up} claimed twice")
         pairs[c] = up
         used.add(up)
-    return Matching(pairs)
+    return pairs
 
 
 @lru_cache(maxsize=None)
@@ -134,7 +134,7 @@ def _critical(n: int) -> CriticalSet:
 @lru_cache(maxsize=None)
 def _descent(n: int) -> DescentCache:
     """The one descent memo of the matching: acyclicity, supports and path cells read it."""
-    return DescentCache(build_matching_mu(n))
+    return DescentCache(delta_poset(n), build_matching_mu(n))
 
 
 @lru_cache(maxsize=None)

@@ -7,21 +7,27 @@ maximality filter that checks each facet against every other, the NC to
 Delta collapse as elementary steps, whole boundary matrices, a coboundary
 reduction that sums colliding columns in one heap of codes, face-poset
 membership from one frozenset of all cells (and matching validation on
-it), a colour-marking DFS for cycles of a matching, descent values as
-fresh sets by plain recursion, an exhaustive path enumerator, and the path
-parity.
+it, with its own statement of a simplicial cover), the Hom face rule as a
+brute-force cover relation over all cells, a colour-marking DFS for cycles
+of a matching, descent values as fresh sets by plain recursion, an
+exhaustive path enumerator, and the path parity. The last four take a
+matching as a plain dict, lower cell -> upper cell, and a face rule: a
+function from a cell to the cells one dimension down that it covers, such
+as `_subfaces` for simplices or `hom_cover_rule(cells)` for Hom cells.
 """
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import (AbstractSet, Dict, FrozenSet, Iterable, Iterator, List, Optional,
-                    Sequence, Set, Tuple, Union)
+from typing import (AbstractSet, Callable, Dict, FrozenSet, Iterable, Iterator, List,
+                    Optional, Sequence, Set, Tuple, Union)
 
 from expmorse.complexes import Complex, Face, _core_index
 from expmorse.errors import InvalidArgumentError, PreconditionError, ResourceLimitError
 from expmorse.gf2 import Gf2Matrix
 from expmorse.graphs import variant
-from expmorse.morse import AcyclicityResult, FacePoset, Matching
+from expmorse.morse import AcyclicityResult, FacePoset
+
+FaceRule = Callable[[Face], List[Face]]
 
 
 class BitmaskComplex:
@@ -141,19 +147,37 @@ def cell_set(P: FacePoset) -> FrozenSet[Face]:
     return frozenset(c for d in range(P.dim + 1) for c in P.cells(d))
 
 
-def validate_matching_by_set(P: FacePoset, M: Matching) -> List[str]:
-    """`morse.validate_matching`'s messages, in its order, with membership from `cell_set`."""
+def validate_matching_by_set(P: FacePoset, pairs: Dict[Face, Face]) -> List[str]:
+    """`morse.validate_matching`'s messages on a simplicial poset, in its order.
+
+    Membership comes from `cell_set`. A pair is a cover when its upper cell
+    is a cell and its lower cell is sorted, free of duplicates, one vertex
+    shorter and a subset of it.
+    """
     cells = cell_set(P)
     bad, uppers = [], set()
-    for low, up in M.pairs.items():
+    for low, up in pairs.items():
         bad += [f"{c} is not a cell of the poset" for c in (low, up) if c not in cells]
-        if len(up) != len(low) + 1 or not set(low) < set(up):
+        if (up not in cells or list(low) != sorted(set(low))
+                or len(low) + 1 != len(up) or not set(low) < set(up)):
             bad.append(f"{low} -> {up} is not a cover relation")
         if up in uppers:
             bad.append(f"{up} is the upper cell of two pairs")
         uppers.add(up)
     return bad + [f"{c} appears on both sides of the matching"
-                  for c in sorted(set(M.pairs) & uppers)]
+                  for c in sorted(set(pairs) & uppers)]
+
+
+def hom_cover_rule(cells: Sequence[Face]) -> FaceRule:
+    """The Hom face rule by brute force over all cells, for cells of `cells` only.
+
+    The facets of a cell are the cells inside it componentwise (each mask a
+    subset of the cell's mask at the same vertex) with one bit fewer in all.
+    """
+    weight = {c: sum(bin(s).count("1") for s in c) for c in cells}
+    below = {c: [b for b in cells if weight[b] == weight[c] - 1 and len(b) == len(c)
+                 and all(x & y == x for x, y in zip(b, c))] for c in cells}
+    return below.__getitem__
 
 
 def _free_family_steps(zs: Sequence[int], xs: Sequence[int],
@@ -294,14 +318,13 @@ def _odd_entries(heap: List[int]) -> List[int]:
     return out
 
 
-def dfs_acyclicity(M: Matching) -> AcyclicityResult:
+def dfs_acyclicity(pairs: Dict[Face, Face], facets: FaceRule) -> AcyclicityResult:
     """Cycle search on the matched lower cells by an iterative colour-marking DFS.
 
     The edges are x -> y for the other facets y of pairs[x] that are matched
     lower cells; a grey successor closes a cycle, read back through the
     parent map and written out as alternating lower and upper cells.
     """
-    pairs = M.pairs
     color: Dict[Face, int] = {}
     parent: Dict[Face, Face] = {}
     for root in pairs:
@@ -314,7 +337,7 @@ def dfs_acyclicity(M: Matching) -> AcyclicityResult:
                 if color.get(x) == 2:
                     continue
                 color[x] = 1
-            succs = [y for y in _subfaces(pairs[x]) if y != x and y in pairs]
+            succs = [y for y in facets(pairs[x]) if y != x and y in pairs]
             if adv < len(succs):
                 stack.append((x, adv + 1))
                 y = succs[adv]
@@ -350,9 +373,10 @@ class FreshDescent:
     every call. Nothing is shared between values.
     """
 
-    def __init__(self, M: Matching):
-        self.pairs = M.pairs
-        self.upper = set(M.pairs.values())
+    def __init__(self, pairs: Dict[Face, Face], facets: FaceRule):
+        self.pairs = pairs
+        self.facets = facets
+        self.upper = set(pairs.values())
         self.memo: Dict[Face, FrozenSet[Face]] = {}
 
     def sets(self, x: Face) -> FrozenSet[Face]:
@@ -361,11 +385,11 @@ class FreshDescent:
             if up is None:
                 self.memo[x] = frozenset() if x in self.upper else frozenset((x,))
             else:
-                self.memo[x] = self._xor(y for y in _subfaces(up) if y != x)
+                self.memo[x] = self._xor(y for y in self.facets(up) if y != x)
         return self.memo[x]
 
     def boundary_support(self, tau: Face) -> FrozenSet[Face]:
-        return self._xor(_subfaces(tau))
+        return self._xor(self.facets(tau))
 
     def _xor(self, cells: Iterable[Face]) -> FrozenSet[Face]:
         acc: Set[Face] = set()
@@ -374,22 +398,29 @@ class FreshDescent:
         return frozenset(acc)
 
 
-def alternating_path_parity(M: Matching, tau: Face, sigma: Face,
-                            descent: Optional[FreshDescent] = None) -> int:
+def _rank(facets: FaceRule, cell: Face) -> int:
+    """The number of face-rule steps from `cell` down to a cell with no facets."""
+    below = facets(cell)
+    return 1 + _rank(facets, below[0]) if below else 0
+
+
+def alternating_path_parity(pairs: Dict[Face, Face], facets: FaceRule, tau: Face,
+                            sigma: Face, descent: Optional[FreshDescent] = None) -> int:
     """Mod-2 count of alternating paths between critical cells of adjacent dimension.
 
-    `descent` is a FreshDescent of M, made afresh unless given.
+    Dimensions are compared by `_rank` under the face rule. `descent` is a
+    FreshDescent of the matching, made afresh unless given.
     """
-    if len(tau) != len(sigma) + 1:
+    if _rank(facets, tau) != _rank(facets, sigma) + 1:
         raise InvalidArgumentError("cells must sit in adjacent dimensions")
-    matched = set(M.pairs) | set(M.pairs.values())
+    matched = set(pairs) | set(pairs.values())
     if tau in matched or sigma in matched:
         raise InvalidArgumentError("parity is defined between critical cells")
-    descent = descent or FreshDescent(M)
+    descent = descent or FreshDescent(pairs, facets)
     return 1 if sigma in descent.boundary_support(tau) else 0
 
 
-def enumerate_alternating_paths(M: Matching, start: Face,
+def enumerate_alternating_paths(pairs: Dict[Face, Face], facets: FaceRule, start: Face,
                                 max_paths: int = 100_000) -> List[Tuple[Face, ...]]:
     """Every alternating path from a critical cell down to critical cells.
 
@@ -397,8 +428,7 @@ def enumerate_alternating_paths(M: Matching, start: Face,
     full cell sequences (start, x1, pair(x1), ..., end); the direct-facet
     path has length 2.
     """
-    pairs = M.pairs
-    upper = M.reverse()
+    upper = set(pairs.values())
     out: List[Tuple[Face, ...]] = []
 
     def descend(x: Face, prefix: Tuple[Face, ...]):
@@ -410,10 +440,10 @@ def enumerate_alternating_paths(M: Matching, start: Face,
             if x not in upper:
                 out.append(prefix + (x,))
             return
-        for y in _subfaces(up):
+        for y in facets(up):
             if y != x:
                 descend(y, prefix + (x, up))
 
-    for y in _subfaces(start):
+    for y in facets(start):
         descend(y, (start,))
     return out

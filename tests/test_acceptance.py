@@ -18,13 +18,13 @@ from expmorse.gf2 import betti_bounded, rank_gf2
 from expmorse.graphs import (Graph, complete_graph, core_vertices, cycle_graph,
                              fold_core_exponential, fold_reduce, find_fold)
 from expmorse.homc import enumerate_hom_cells, order_complex_of_hom
-from expmorse.morse import (DescentCache, Matching, critical_cells, face_poset,
-                            is_acyclic, morse_boundaries)
+from expmorse.morse import (DescentCache, critical_cells, face_poset, is_acyclic,
+                            morse_boundaries)
 from expmorse.pipeline import (build_matching_mu, closed_form_critical,
                                corollary1_report, delta_poset,
                                incidence_matrix_A, wn_transposition_ordering)
 from expmorse.cli import main
-from oracles import boundary_matrix, enumerate_alternating_paths
+from oracles import _subfaces, boundary_matrix, enumerate_alternating_paths
 
 
 def _crosscheck(report, name):
@@ -65,7 +65,8 @@ def test_a03_n5_morse_with_partial_bruteforce(timed_report5):
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_a04_critical_census_equals_closed_form(n):
-    crit = critical_cells(delta_poset(n), DescentCache(build_matching_mu(n)))
+    P = delta_poset(n)
+    crit = critical_cells(P, DescentCache(P, build_matching_mu(n)))
     assert crit == closed_form_critical(n)
     counts = crit.counts
     assert counts[0] == 1
@@ -93,8 +94,8 @@ def _replace_one(values, x):
 @pytest.mark.parametrize("n", [3, 4])
 def test_a06_two_path_structure_exhaustive(n):
     P = delta_poset(n)
-    M = build_matching_mu(n)
-    crit = critical_cells(P, DescentCache(M))
+    pairs = build_matching_mu(n)
+    crit = critical_cells(P, DescentCache(P, pairs))
     ones = set(crit.cells(1))
     verts = core_vertices(n + 1, n)
     index = {v.values: i for i, v in enumerate(verts)}
@@ -109,7 +110,7 @@ def test_a06_two_path_structure_exhaustive(n):
             missing = (set(range(1, n + 2)) - set(g)).pop()
             want.add((1, index[_replace_one(g, missing)]))
         ends = {}
-        for p in enumerate_alternating_paths(M, tau):
+        for p in enumerate_alternating_paths(pairs, _subfaces, tau):
             ends[p[-1]] = ends.get(p[-1], 0) + 1
         assert set(ends) == want and want <= ones
         assert all(k % 2 == 1 for k in ends.values())
@@ -121,10 +122,10 @@ def test_a06_two_path_structure_exhaustive(n):
 
 def test_a07_acyclicity_certificates():
     for n in (3, 4, 5):
-        assert is_acyclic(DescentCache(build_matching_mu(n))).acyclic
+        assert is_acyclic(DescentCache(delta_poset(n), build_matching_mu(n))).acyclic
     square = Complex(list("abcd"), [(0, 1), (1, 2), (2, 3), (0, 3)])
-    bad = Matching({(0,): (0, 1), (1,): (1, 2), (2,): (2, 3), (3,): (0, 3)})
-    res = is_acyclic(DescentCache(bad))
+    bad = {(0,): (0, 1), (1,): (1, 2), (2,): (2, 3), (3,): (0, 3)}
+    res = is_acyclic(DescentCache(face_poset(square), bad))
     assert not res.acyclic and res.cycle is not None
     assert res.cycle[0] == res.cycle[-1] and len(res.cycle) >= 5
     print(f"\n[PASS] matchings certified acyclic for n=3,4,5; cyclic fixture "
@@ -207,7 +208,7 @@ def test_a10_lovasz_consistency_corpus():
 
 
 def test_a11a_boundary_squares_to_zero():
-    caches = [DescentCache(build_matching_mu(n)) for n in (3, 4, 5)]
+    caches = [DescentCache(delta_poset(n), build_matching_mu(n)) for n in (3, 4, 5)]
     chains = [morse_boundaries(critical_cells(delta_poset(n), cache), cache)
               for n, cache in zip((3, 4, 5), caches)]
     for C in [build_delta(3), neighborhood_complex(cycle_graph(6)),

@@ -11,7 +11,8 @@ from expmorse.errors import ResourceLimitError
 from expmorse.gf2 import betti_bounded
 from expmorse.graphs import (Graph, _bits, categorical_product, complete_graph,
                              cycle_graph, fold_core_exponential)
-from expmorse.homc import enumerate_hom_cells, order_complex_of_hom
+from expmorse.homc import enumerate_hom_cells, hom_poset, order_complex_of_hom
+from oracles import hom_cover_rule
 
 
 def _brute_hom_cells(G: Graph, H: Graph):
@@ -88,6 +89,23 @@ def _graph(draw):
     edges = [p for p in itertools.combinations(range(n), 2) if draw(st.booleans())]
     loops = [v for v in range(n) if draw(st.booleans())]
     return Graph.from_edges([str(v) for v in range(n)], edges, loops)
+
+
+@settings(max_examples=80)
+@given(_graph(), _graph())
+@example(complete_graph(2), complete_graph(4))
+def test_hom_facets_against_brute_force_cover(G, H):
+    # the poset holds every cell once, at its dimension, and each cell's
+    # facets are the cells one bit below it componentwise
+    cells = enumerate_hom_cells(G, H)
+    assume(len(cells) <= 150)
+    P = hom_poset(cells)
+    rule = hom_cover_rule(cells)
+    assert P.size == len(cells) and all(c in P for c in cells)
+    for c in cells:
+        got = P.facets(c)
+        assert len(got) == len(set(got)) and set(got) == set(rule(c)), c
+        assert all(P.dim_of(f) == P.dim_of(c) - 1 for f in got)
 
 
 @settings(max_examples=60)

@@ -16,22 +16,22 @@ from expmorse.pipeline import (LEMMA_KEYS, build_matching_mu,
                                delta_poset, incidence_matrix_A,
                                theorem1_report, verify_lemma,
                                wn_transposition_ordering)
-from oracles import enumerate_alternating_paths
+from oracles import _subfaces, enumerate_alternating_paths
 from test_gf2 import _rss_rise
 
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_matching_is_valid_and_acyclic(n):
     P = delta_poset(n)
-    M = build_matching_mu(n)
-    assert validate_matching(P, M) == []
-    assert is_acyclic(DescentCache(M)).acyclic
+    pairs = build_matching_mu(n)
+    assert validate_matching(P, pairs) == []
+    assert is_acyclic(DescentCache(P, pairs)).acyclic
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_critical_census_matches_closed_form(n):
     P = delta_poset(n)
-    crit = critical_cells(P, DescentCache(build_matching_mu(n)))
+    crit = critical_cells(P, DescentCache(P, build_matching_mu(n)))
     assert crit == closed_form_critical(n)
     want = [1, math.factorial(n), math.factorial(n) * n * (n - 1) // 2]
     want += [0] * (n - 4)
@@ -78,13 +78,13 @@ def test_incidence_matrix_rank_and_columns(n, rank):
 def test_two_path_targets_by_exhaustive_enumeration():
     n = 3
     P = delta_poset(n)
-    M = build_matching_mu(n)
-    crit = critical_cells(P, DescentCache(M))
+    pairs = build_matching_mu(n)
+    crit = critical_cells(P, DescentCache(P, pairs))
     ones = set(crit.cells(1))
     for tau in crit.cells(2):
         constants = [v for v in tau if v <= n]
         ends = {}
-        for p in enumerate_alternating_paths(M, tau):
+        for p in enumerate_alternating_paths(pairs, _subfaces, tau):
             ends[p[-1]] = ends.get(p[-1], 0) + 1
         reached = {e for e in ends if e in ones}
         if len(constants) == 3:
@@ -98,10 +98,10 @@ def test_two_path_targets_by_exhaustive_enumeration():
 def test_paths_from_critical_triangles_never_touch_first_constant():
     n = 3
     P = delta_poset(n)
-    M = build_matching_mu(n)
-    crit = critical_cells(P, DescentCache(M))
+    pairs = build_matching_mu(n)
+    crit = critical_cells(P, DescentCache(P, pairs))
     for tau in crit.cells(2):
-        for p in enumerate_alternating_paths(M, tau):
+        for p in enumerate_alternating_paths(pairs, _subfaces, tau):
             assert all(0 not in cell for cell in p)
 
 
@@ -132,9 +132,9 @@ def test_one_descent_walk_per_run(monkeypatch, run):
     built = []
 
     class Counting(DescentCache):
-        def __init__(self, M):
-            built.append(M)
-            super().__init__(M)
+        def __init__(self, P, pairs):
+            built.append(pairs)
+            super().__init__(P, pairs)
 
     monkeypatch.setattr(pipeline, "DescentCache", Counting)
     _clear_pipeline_caches()
