@@ -132,14 +132,6 @@ class Complex:
     def dim(self) -> int:
         return self._sizes[-1][0] - 1 if self._sizes else -1
 
-    def contains(self, face: Sequence[int]) -> bool:
-        face = tuple(sorted(set(face)))
-        if not face:
-            return True
-        if face[0] < 0 or face[-1] >= len(self.labels):
-            return False
-        return bool(_holders(self._index, face))
-
     def cofacet_vertices(self, face: Sequence[int]) -> List[int]:
         """The vertices v not in `face` with face + (v,) a face, ascending.
 
@@ -212,7 +204,7 @@ class Complex:
                 raise ResourceLimitError(
                     f"enumerating faces up to dim {self.dim} needs at least {total} "
                     f"steps (largest facet has {self.dim + 1} vertices), over the bound "
-                    f"{DEFAULT_MAX_FACES}", bound=DEFAULT_MAX_FACES)
+                    f"{DEFAULT_MAX_FACES}")
         return [self.faces_of_dim(d) for d in range(self.dim + 1)]
 
     def collapse(self, steps: Iterable[Sequence[Sequence[int]]]) -> "Complex":
@@ -270,12 +262,6 @@ class Complex:
     def __eq__(self, other) -> bool:
         return (isinstance(other, Complex)
                 and self.labels == other.labels and self.facets == other.facets)
-
-    def __hash__(self):
-        return hash((self.labels, self.facets))
-
-    def __repr__(self) -> str:
-        return f"Complex({len(self.labels)} vertices, {len(self.facets)} facets, dim {self.dim})"
 
 
 def neighborhood_complex(G: Graph) -> Complex:

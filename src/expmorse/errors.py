@@ -23,10 +23,6 @@ class InvalidArgumentError(ExpmorseError, ValueError):
 class ResourceLimitError(ExpmorseError, RuntimeError):
     """An enumeration would exceed a configured size bound."""
 
-    def __init__(self, message: str, bound: int | None = None):
-        super().__init__(message)
-        self.bound = bound
-
 
 class PreconditionError(ExpmorseError, RuntimeError):
     """A step of a structured construction failed its entry check."""

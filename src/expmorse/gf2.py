@@ -54,9 +54,6 @@ class Gf2Matrix:
             if c >> nrows:
                 raise InvalidArgumentError("column has bits beyond the row count")
 
-    def entry(self, i: int, j: int) -> int:
-        return self.cols[j] >> i & 1
-
     def column_weights(self) -> List[int]:
         return [c.bit_count() for c in self.cols]
 
@@ -77,16 +74,6 @@ class Gf2Matrix:
 
     def rank(self) -> int:
         return rank_of_bitsets(self.cols)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Gf2Matrix) and self.nrows == other.nrows
-                and self.cols == other.cols)
-
-    def __hash__(self):
-        return hash((self.nrows, tuple(self.cols)))
-
-    def __repr__(self) -> str:
-        return f"Gf2Matrix({self.nrows}x{self.ncols})"
 
 
 def _independent(vectors: Iterable[int]) -> Iterator[int]:
@@ -164,15 +151,14 @@ def betti_bounded(C: Complex, maxdim: int, max_faces: int = DEFAULT_MAX_FACES) -
                            accumulate(map(C.face_count_estimate, range(top + 2)))))
     if not spent:
         raise ResourceLimitError(
-            f"cannot enumerate even the vertices within the budget {max_faces}",
-            bound=max_faces)
+            f"cannot enumerate even the vertices within the budget {max_faces}")
     v = len(spent) - 2 if len(spent) < top + 2 else maxdim
     if v < 0:
         raise ResourceLimitError(
-            f"face budget {max_faces} too small to verify any dimension", bound=max_faces)
+            f"face budget {max_faces} too small to verify any dimension")
     if v > max_faces:  # then v = maxdim > C.dim: a table of zeros longer than the budget
         raise ResourceLimitError(
-            f"max dim {maxdim} is over the face budget {max_faces}", bound=max_faces)
+            f"max dim {maxdim} is over the face budget {max_faces}")
     # dims 0..v fit the budget (checked above), so the listing needs no check of its own
     levels = [C.faces_of_dim(d) for d in range(min(v, top) + 1)]
     ranks = [0] * (len(levels) + 1)

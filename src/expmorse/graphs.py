@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .errors import InvalidArgumentError, ResourceLimitError
 
@@ -18,11 +18,9 @@ __all__ = [
     "FnVertex",
     "complete_graph",
     "cycle_graph",
-    "categorical_product",
     "exponential_graph",
     "variant",
     "neighborhood",
-    "find_fold",
     "fold_reduce",
     "core_vertices",
     "fold_core_exponential",
@@ -104,16 +102,6 @@ class Graph:
                     nbr[i] |= 1 << j
         return Graph([self.labels[v] for v in keep], nbr)
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Graph)
-                and self.labels == other.labels and self._nbr == other._nbr)
-
-    def __hash__(self):
-        return hash((self.labels, self._nbr))
-
-    def __repr__(self) -> str:
-        return f"Graph({len(self.labels)} vertices, {len(self.edges())} edges, {len(self.loops())} loops)"
-
 
 def _bits(mask: int) -> Tuple[int, ...]:
     """Positions of the set bits, lowest first, one step per set bit."""
@@ -186,21 +174,6 @@ def cycle_graph(n: int) -> Graph:
                             [(i, (i + 1) % n) for i in range(n)])
 
 
-def categorical_product(G: Graph, H: Graph) -> Graph:
-    """(u,v) ~ (u',v') iff u ~ u' in G and v ~ v' in H. Index of (u,v) is u*|H|+v."""
-    nh = H.vertex_count
-    labels = [f"({gu},{hv})" for gu in G.labels for hv in H.labels]
-    nbr = [0] * (G.vertex_count * nh)
-    for u in range(G.vertex_count):
-        gm = G.neighbor_mask(u)
-        for v in range(nh):
-            m = 0
-            for u2 in _bits(gm):
-                m |= H.neighbor_mask(v) << (u2 * nh)
-            nbr[u * nh + v] = m
-    return Graph(labels, nbr)
-
-
 def _map_adjacency(verts: Sequence[Tuple[int, ...]], index: Dict[Tuple[int, ...], int],
                    G: Graph, H: Graph) -> List[int]:
     """Adjacency among map vertices: f ~ g iff every edge (u,v) of G has f(u) ~ g(v) in H.
@@ -254,8 +227,7 @@ def exponential_graph(G: Graph, H: Graph) -> Graph:
     if total > DEFAULT_VERTEX_BOUND:
         raise ResourceLimitError(
             f"exponential graph would have {total} vertices, "
-            f"over the bound {DEFAULT_VERTEX_BOUND}",
-            bound=DEFAULT_VERTEX_BOUND)
+            f"over the bound {DEFAULT_VERTEX_BOUND}")
     verts = list(itertools.product(range(1, m + 1), repeat=n))
     index = {v: i for i, v in enumerate(verts)}
     nbr = _map_adjacency(verts, index, G, H)
@@ -273,24 +245,12 @@ def neighborhood(G: Graph, A: Iterable[int]) -> Tuple[int, ...]:
     return _bits(mask)
 
 
-def find_fold(G: Graph) -> Optional[Tuple[int, int]]:
-    """First pair (u, v), u != v, with N(u) a subset of N(v); smallest u, then smallest v."""
-    n = G.vertex_count
-    for u in range(n):
-        nu = G.neighbor_mask(u)
-        for v in range(n):
-            if v == u:
-                continue
-            if nu & ~G.neighbor_mask(v) == 0:
-                return (u, v)
-    return None
-
-
 def fold_reduce(G: Graph) -> Graph:
     """Delete fold vertices (smallest-index rule) until none remain.
 
-    Equivalent to repeating find_fold + induced-subgraph deletion, but runs on
-    a live-vertex mask so neighborhoods are not rebuilt per step.
+    Each step deletes u for the first pair (u, v), u != v, with N(u) a subset
+    of N(v), smallest u, then smallest v. It runs on a live-vertex mask, so
+    neighborhoods are not rebuilt per step.
     """
     n = G.vertex_count
     alive = list(range(n))
@@ -328,7 +288,7 @@ def core_vertices(m: int, n: int) -> List[FnVertex]:
     if total > DEFAULT_VERTEX_BOUND:
         raise ResourceLimitError(
             f"core of K_{m}^{{K_{n}}} would have {total} vertices, "
-            f"over the bound {DEFAULT_VERTEX_BOUND}", bound=DEFAULT_VERTEX_BOUND)
+            f"over the bound {DEFAULT_VERTEX_BOUND}")
     verts = [FnVertex((x,) * n) for x in range(1, m + 1)]
     if n > 1:
         verts.extend(FnVertex(p) for p in itertools.permutations(range(1, m + 1), n))

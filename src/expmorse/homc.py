@@ -46,8 +46,7 @@ def enumerate_hom_cells(G: Graph, H: Graph) -> List[Cell]:
     # Crude upper bound on the search tree: each vertex picks a nonempty subset.
     if (2 ** nh - 1) ** ng > DEFAULT_MAX_CONFIGS:
         raise ResourceLimitError(
-            f"hom cell enumeration bound exceeded: (2^{nh}-1)^{ng} configurations",
-            bound=DEFAULT_MAX_CONFIGS)
+            f"hom cell enumeration bound exceeded: (2^{nh}-1)^{ng} configurations")
     full = (1 << nh) - 1
     subsets = [m for m in range(1, full + 1)]
 
@@ -152,8 +151,7 @@ def order_complex_of_hom(cells: Sequence[Cell],
         held[i] = chains[i] + sum(held[j] for j in ups)
     if sum(held[i] for i in minimal) > max_faces:
         raise ResourceLimitError(
-            f"maximal chains of the hom poset hold over {max_faces} vertices",
-            bound=max_faces)
+            f"maximal chains of the hom poset hold over {max_faces} vertices")
     facets: List[Tuple[int, ...]] = []
     chain: List[int] = []
 

@@ -78,9 +78,6 @@ class FacePoset:
     def cells(self, d: int) -> Sequence[Face]:
         return self.cells_by_dim[d] if 0 <= d <= self.dim else ()
 
-    def __repr__(self) -> str:
-        return f"FacePoset({self.size} cells, dim {self.dim})"
-
 
 def face_poset(C: Complex) -> FacePoset:
     """Every face of the complex, its own kept face lists, under `faces_by_dim`'s face budget."""

@@ -29,7 +29,6 @@ __all__ = [
     "build_matching_mu",
     "closed_form_critical",
     "wn_transposition_ordering",
-    "incidence_matrix_A",
     "theorem1_report",
     "corollary1_report",
     "verify_lemma",
@@ -243,11 +242,6 @@ def _incidence(n: int) -> Gf2Matrix:
             bits |= 1 << rowpos[s]
         colbits.append(bits)
     return Gf2Matrix(colbits, len(rows))
-
-
-def incidence_matrix_A(n: int) -> Gf2Matrix:
-    """Rows: critical 1-cells in transposition order; columns: critical triangles."""
-    return _incidence(n)
 
 
 @lru_cache(maxsize=None)

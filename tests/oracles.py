@@ -4,16 +4,18 @@ The program never calls these. They are written plainly, so that a test
 compares a fast route with a direct one: a complex indexed by dense
 per-vertex facet bitmasks with the elementary free-face collapse, the
 maximality filter that checks each facet against every other, the NC to
-Delta collapse as elementary steps, whole boundary matrices, a coboundary
-reduction that sums colliding columns in one heap of codes, face-poset
-membership from one frozenset of all cells (and matching validation on
-it, with its own statement of a simplicial cover), the Hom face rule as a
-brute-force cover relation over all cells, a colour-marking DFS for cycles
-of a matching, descent values as fresh sets by plain recursion, an
-exhaustive path enumerator, and the path parity. The last four take a
-matching as a plain dict, lower cell -> upper cell, and a face rule: a
-function from a cell to the cells one dimension down that it covers, such
-as `_subfaces` for simplices or `hom_cover_rule(cells)` for Hom cells.
+Delta collapse as elementary steps, the first fold of a graph by a scan of
+all vertex pairs, the categorical product of two graphs (test inputs for
+Hom complexes), whole boundary matrices, a coboundary reduction that sums
+colliding columns in one heap of codes, face-poset membership from one
+frozenset of all cells (and matching validation on it, with its own
+statement of a simplicial cover), the Hom face rule as a brute-force cover
+relation over all cells, a colour-marking DFS for cycles of a matching,
+descent values as fresh sets by plain recursion, an exhaustive path
+enumerator, and the path parity. The last four take a matching as a plain
+dict, lower cell -> upper cell, and a face rule: a function from a cell to
+the cells one dimension down that it covers, such as `_subfaces` for
+simplices or `hom_cover_rule(cells)` for Hom cells.
 """
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ from typing import (AbstractSet, Callable, Dict, FrozenSet, Iterable, Iterator, 
 from expmorse.complexes import Complex, Face, _core_index
 from expmorse.errors import InvalidArgumentError, PreconditionError, ResourceLimitError
 from expmorse.gf2 import Gf2Matrix
-from expmorse.graphs import variant
+from expmorse.graphs import Graph, _bits, variant
 from expmorse.morse import AcyclicityResult, FacePoset
 
 FaceRule = Callable[[Face], List[Face]]
@@ -222,6 +224,34 @@ def _cascade_steps(n: int) -> Iterator[Tuple[Face, Optional[Face]]]:
         for a in range(len(rest) - 1):
             for b in range(a + 1, len(rest)):
                 yield (rest[a] - 1, rest[b] - 1, i), None
+
+
+def find_fold(G: Graph) -> Optional[Tuple[int, int]]:
+    """First pair (u, v), u != v, with N(u) a subset of N(v); smallest u, then smallest v."""
+    n = G.vertex_count
+    for u in range(n):
+        nu = G.neighbor_mask(u)
+        for v in range(n):
+            if v == u:
+                continue
+            if nu & ~G.neighbor_mask(v) == 0:
+                return (u, v)
+    return None
+
+
+def categorical_product(G: Graph, H: Graph) -> Graph:
+    """(u,v) ~ (u',v') iff u ~ u' in G and v ~ v' in H. Index of (u,v) is u*|H|+v."""
+    nh = H.vertex_count
+    labels = [f"({gu},{hv})" for gu in G.labels for hv in H.labels]
+    nbr = [0] * (G.vertex_count * nh)
+    for u in range(G.vertex_count):
+        gm = G.neighbor_mask(u)
+        for v in range(nh):
+            m = 0
+            for u2 in _bits(gm):
+                m |= H.neighbor_mask(v) << (u2 * nh)
+            nbr[u * nh + v] = m
+    return Graph(labels, nbr)
 
 
 def zero_matrix(nrows: int, ncols: int) -> Gf2Matrix:
@@ -433,8 +463,7 @@ def enumerate_alternating_paths(pairs: Dict[Face, Face], facets: FaceRule, start
 
     def descend(x: Face, prefix: Tuple[Face, ...]):
         if len(out) >= max_paths:
-            raise ResourceLimitError(f"more than {max_paths} alternating paths",
-                                     bound=max_paths)
+            raise ResourceLimitError(f"more than {max_paths} alternating paths")
         up = pairs.get(x)
         if up is None:
             if x not in upper:

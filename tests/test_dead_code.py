@@ -1,18 +1,26 @@
-"""Dead-code checks on the package source, written with the stdlib `ast`.
+"""Dead-code checks on the package source.
 
-No linter is installed, so these checks stand in for one: every import of a
-module is used in that module or re-exported through its `__all__` (the
-package's `__init__` imports only to re-export), every module-level private
-function is referenced somewhere in the package, every method or property
-of a package class is referenced somewhere in the package, the tests or the
-benchmark, every public module-level function, class and upper-case
-constant is referenced there too, outside its own definition, `__all__`
-and the package's `__init__`, and every parameter of a function or lambda
-is read in its body.
+No linter is installed, so these checks stand in for one. The reach test
+runs commands: every function and method defined in the package must be
+entered by a command or by the benchmark's tracer, so a helper that only
+tests call fails it and belongs in `tests/`. The other checks read the
+source with the stdlib `ast` and ask that each thing is named somewhere:
+every import of a module is used in that module or re-exported through its
+`__all__` (the package's `__init__` imports only to re-export), every
+module-level private function is referenced somewhere in the package, every
+method or property of a package class is referenced somewhere in the
+package, the tests or the benchmark, every public module-level function,
+class and upper-case constant is referenced there too, outside its own
+definition, `__all__` and the package's `__init__`, and every parameter of
+a function or lambda is read in its body.
 """
 from __future__ import annotations
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Set, Tuple
 
@@ -113,6 +121,103 @@ def test_every_public_name_is_referenced():
             if public not in used and public not in _names_read(rest):
                 unreferenced.append(f"{name}:{node.lineno} {public}")
     assert unreferenced == []
+
+
+def _defined_functions() -> Dict[Tuple[str, int, str], str]:
+    """Every function and method in the package, by (module file, first line, name).
+
+    The first line is the first decorator's, as in a code object's
+    `co_firstlineno`; the value is the qualified name.
+    """
+    out: Dict[Tuple[str, int, str], str] = {}
+
+    def visit(node: ast.AST, file: str, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([d.lineno for d in child.decorator_list] + [child.lineno])
+                out[file, first, child.name] = prefix + child.name
+                visit(child, file, f"{prefix}{child.name}.<locals>.")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, file, f"{prefix}{child.name}.")
+            else:
+                visit(child, file, prefix)
+
+    for name, tree in TREES.items():
+        visit(tree, name, "")
+    return out
+
+
+# Runs in a fresh interpreter, so no cache filled by another test hides a
+# call. The benchmark's tracer is installed first, since the benchmark calls
+# the package too, and its own listing of NC's faces runs last.
+_REACH_CHILD = """
+import contextlib, io, json, sys
+sys.path.insert(0, {perfbench!r})
+src, codes = {src!r}, set()
+sys.setprofile(lambda frame, event, arg: event == "call" and codes.add(frame.f_code))
+from tracer import Tracer
+from expmorse import cli, complexes, gf2, graphs, homc, pipeline
+tracer = Tracer()
+tracer.install(cli, pipeline, graphs, complexes, gf2, homc)
+exits = []
+for argv in {commands!r}:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        exits.append(cli.main(argv))
+tracer.enumerate_nc_faces()
+sys.setprofile(None)
+print(json.dumps([exits, sorted({{(c.co_filename[len(src) + 1:], c.co_firstlineno, c.co_name)
+                                 for c in codes if c.co_filename.startswith(src)}})]))
+"""
+
+# (argv, exit code): every command kind, each `compute` target, a graph file
+# with nested neighbourhoods, and the exit-2 and exit-3 paths.
+_REACH_COMMANDS = [
+    (["reproduce", "--n", "3"], 0),
+    (["reproduce", "--n", "3", "--format", "csv"], 0),
+    (["reproduce", "--n", "3", "--method", "morse", "--format", "csv"], 0),
+    (["reproduce", "--n", "5", "--m", "3"], 0),
+    (["reproduce", "--n", "4", "--m", "4"], 0),
+    (["reproduce", "--n", "3", "--m", "2"], 0),
+    (["verify", "--n", "3", "--lemma", "all"], 0),
+    (["compute", "exp-graph", "--g", "k2", "--h", "k3"], 0),
+    (["compute", "exp-graph", "--g", "k2", "--h", "k3", "--format", "csv"], 0),
+    (["compute", "fold", "--graph", "{graph}"], 0),
+    (["compute", "ncomplex", "--graph", "{graph}"], 0),
+    (["compute", "ncomplex", "--graph", "c5", "--format", "csv"], 0),
+    (["compute", "homology", "--exp", "3", "2", "--max-dim", "2"], 0),
+    (["compute", "homology", "--graph", "c9", "--format", "csv"], 0),
+    (["compute", "homology", "--graph", "k3", "--max-dim", "5"], 0),
+    (["compute", "homology", "--graph", "k4", "--max-faces", "24"], 0),
+    (["compute", "hom", "--g", "k2", "--h", "k6"], 0),
+    (["compute", "hom", "--g", "k4", "--h", "k4"], 0),
+    (["reproduce", "--n", "6"], 2),
+    (["compute", "homology", "--graph", "k4", "--max-faces", "23"], 3),
+]
+
+
+def test_every_function_is_entered_by_a_command_or_the_benchmark(tmp_path):
+    # Edges a-b, b-c, c-d and b-d: N(a) = {b} lies inside N(c) = {b, d}, so
+    # the neighborhood complex has a nested facet (`_facet_index`) and the
+    # graph has a fold.
+    graph = tmp_path / "nested.json"
+    graph.write_text(json.dumps({"labels": ["a", "b", "c", "d"],
+                                 "edges": [[0, 1], [1, 2], [2, 3], [1, 3]],
+                                 "loops": []}), encoding="utf-8")
+    commands = [[a.format(graph=graph) for a in argv] for argv, _ in _REACH_COMMANDS]
+    code = _REACH_CHILD.format(perfbench=str(ROOT / "perfbench"), src=str(SRC),
+                               commands=commands)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    exits, entered = json.loads(proc.stdout)
+    assert exits == [want for _, want in _REACH_COMMANDS]
+    # No function is exempt: one that only tests call belongs in tests/.
+    defined = _defined_functions()
+    unreached = defined.keys() - {tuple(e) for e in entered}
+    assert sorted(f"{key[0]} {defined[key]}" for key in unreached) == []
 
 
 def test_every_parameter_is_read():

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from expmorse.complexes import neighborhood_complex
 from expmorse.errors import ResourceLimitError
 from expmorse.gf2 import betti_bounded
-from expmorse.graphs import (Graph, _bits, categorical_product, complete_graph,
-                             cycle_graph, fold_core_exponential)
+from expmorse.graphs import (Graph, _bits, complete_graph, cycle_graph,
+                             fold_core_exponential)
 from expmorse.homc import enumerate_hom_cells, hom_poset, order_complex_of_hom
-from oracles import hom_cover_rule
+from oracles import categorical_product, hom_cover_rule
 
 
 def _brute_hom_cells(G: Graph, H: Graph):

@@ -12,13 +12,14 @@ from hypothesis import strategies as st
 from expmorse.complexes import Complex, Face, build_delta, neighborhood_complex
 from expmorse.errors import InternalConsistencyError, InvalidArgumentError
 from expmorse.gf2 import betti_bounded, betti_of_chain
-from expmorse.graphs import categorical_product, complete_graph, cycle_graph
+from expmorse.graphs import complete_graph, cycle_graph
 from expmorse.homc import HomPoset, enumerate_hom_cells, hom_poset, order_complex_of_hom
 from expmorse.morse import (_EMPTY, AcyclicityResult, DescentCache, FacePoset,
                             critical_cells, face_poset, is_acyclic, morse_boundaries,
                             path_cells, validate_matching)
-from oracles import (FreshDescent, _subfaces, alternating_path_parity, cell_set,
-                     dfs_acyclicity, enumerate_alternating_paths, hom_cover_rule,
+from oracles import (FreshDescent, _subfaces, alternating_path_parity,
+                     categorical_product, cell_set, dfs_acyclicity,
+                     enumerate_alternating_paths, hom_cover_rule,
                      validate_matching_by_set)
 from test_hom import _graph
 

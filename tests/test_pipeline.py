@@ -13,8 +13,7 @@ from expmorse.graphs import fold_core_exponential
 from expmorse.morse import DescentCache, critical_cells, is_acyclic, validate_matching
 from expmorse.pipeline import (LEMMA_KEYS, build_matching_mu,
                                closed_form_critical, corollary1_report,
-                               delta_poset, incidence_matrix_A,
-                               theorem1_report, verify_lemma,
+                               delta_poset, theorem1_report, verify_lemma,
                                wn_transposition_ordering)
 from oracles import _subfaces, enumerate_alternating_paths
 from test_gf2 import _rss_rise
@@ -67,7 +66,7 @@ def test_wn_smallest_case():
 
 @pytest.mark.parametrize("n,rank", [(3, 5), (4, 23), (5, 119)])
 def test_incidence_matrix_rank_and_columns(n, rank):
-    A = incidence_matrix_A(n)
+    A = pipeline._incidence(n)
     assert A.nrows == math.factorial(n)
     assert rank_gf2(A) == rank == math.factorial(n) - 1
     assert all(w == 2 for w in A.column_weights())
