@@ -7,9 +7,10 @@ from .errors import (ExpmorseError, InternalConsistencyError, InvalidArgumentErr
                      InvalidChainError, LemmaViolationError, PreconditionError,
                      ResourceLimitError)
 from .gf2 import BettiTable, Gf2Matrix, betti_bounded, betti_of_chain, rank_gf2
-from .graphs import (FnVertex, Graph, complete_graph, core_vertices, cycle_graph,
+from .graphs import (Graph, complete_graph, core_vertices, cycle_graph,
                      exponential_graph, fold_core_exponential, fold_reduce,
-                     graph_from_json, graph_to_json, neighborhood, variant)
+                     graph_from_json, graph_to_json, map_label, missing_value,
+                     neighborhood, variant)
 from .homc import HomPoset, enumerate_hom_cells, hom_poset, order_complex_of_hom
 from .morse import (AcyclicityResult, CriticalSet, DescentCache, FacePoset,
                     critical_cells, face_poset, is_acyclic, morse_boundaries,

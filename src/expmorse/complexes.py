@@ -27,7 +27,8 @@ from math import comb
 from typing import AbstractSet, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .errors import InvalidArgumentError, PreconditionError, ResourceLimitError
-from .graphs import Graph, FnVertex, core_vertices, fold_core_exponential, neighborhood, variant
+from .graphs import (Graph, Map, core_vertices, fold_core_exponential, map_label,
+                     missing_value, neighborhood, variant)
 
 __all__ = [
     "Complex",
@@ -274,9 +275,16 @@ def neighborhood_complex(G: Graph) -> Complex:
     return Complex(G.labels, facets)
 
 
-def _core_index(n: int) -> Tuple[List[FnVertex], Dict[Tuple[int, ...], int]]:
+def _core_index(n: int) -> Tuple[List[Map], Dict[Map, int]]:
+    """The core of K_{n+1}^{K_n} as `core_vertices` lists it, and each map's id.
+
+    The constant <x> has id x - 1, so ids 0..n are the constants and the
+    ids from n + 1 on are the injective maps. Δ's families, the collapse
+    cascade, the matching and its trichotomy check read ids this way: "is
+    constant" is `id <= n`.
+    """
     verts = core_vertices(n + 1, n)
-    return verts, {v.values: i for i, v in enumerate(verts)}
+    return verts, {f: i for i, f in enumerate(verts)}
 
 
 def delta_facet_families(n: int) -> Dict[str, List[Face]]:
@@ -293,19 +301,16 @@ def delta_facet_families(n: int) -> Dict[str, List[Face]]:
     m1: List[Face] = []
     a1: List[Face] = []
     a2: List[Face] = []
-    for i, f in enumerate(verts):
-        if not (f.is_injective and not f.is_constant):
-            continue
-        x = f.missing_values(n + 1)[0]
+    for i in range(n + 1, len(verts)):
+        f = verts[i]
+        x = missing_value(f, n + 1)
         for s in range(1, n + 1):
-            fs = index[variant(f, s, x).values]
-            m1.append(tuple(sorted((i, fs, x - 1))))
-        im = f.image
-        if 1 in im:
-            for y in sorted(im - {1}):
+            m1.append(tuple(sorted((i, index[variant(f, s, x)], x - 1))))
+        if 1 in f:
+            for y in sorted(set(f) - {1}):
                 a1.append(tuple(sorted((0, y - 1, i))))
         else:
-            for y in sorted(im - {2}):
+            for y in sorted(set(f) - {2}):
                 a2.append(tuple(sorted((1, y - 1, i))))
     a3 = [tuple(sorted(c)) for c in itertools.combinations(range(n + 1), n)]
     return {"M1": sorted(m1), "A1": sorted(a1), "A2": sorted(a2), "A3": sorted(a3)}
@@ -317,24 +322,24 @@ def build_delta(n: int, families: Optional[Dict[str, List[Face]]] = None) -> Com
     `families` is `delta_facet_families(n)`, listed afresh unless given.
     """
     fams = delta_facet_families(n) if families is None else families
-    labels = [v.label() for v in core_vertices(n + 1, n)]
+    labels = [map_label(f) for f in core_vertices(n + 1, n)]
     return Complex(labels, [f for fam in fams.values() for f in fam])
 
 
 def _cascade(n: int) -> Iterator[Tuple[Sequence[int], Sequence[int], Sequence[int]]]:
     verts, index = _core_index(n)
-    injective = [i for i, f in enumerate(verts) if f.is_injective and not f.is_constant]
+    injective = range(n + 1, len(verts))
     for i in injective:
         f = verts[i]
-        x = f.missing_values(n + 1)[0]
-        yield (), [index[variant(f, s, x).values] for s in range(1, n + 1)], (i, x - 1)
+        x = missing_value(f, n + 1)
+        yield (), [index[variant(f, s, x)] for s in range(1, n + 1)], (i, x - 1)
     for y in range(1, n + 2):
-        yield ((), [i for i in injective if y not in verts[i].image],
+        yield ((), [i for i in injective if y not in verts[i]],
                [z - 1 for z in range(1, n + 2) if z != y])
     for i in injective:
-        im = verts[i].image
-        anchor = 1 if 1 in im else 2
-        yield (i,), [y - 1 for y in im if y != anchor], (anchor - 1,)
+        f = verts[i]
+        anchor = 1 if 1 in f else 2
+        yield (i,), [y - 1 for y in sorted(f) if y != anchor], (anchor - 1,)
 
 
 def delta_via_collapse(n: int) -> Complex:

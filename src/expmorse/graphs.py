@@ -1,21 +1,22 @@
-"""Finite graphs with loops, map vertices, exponential graphs, and folds.
+"""Finite graphs with loops, maps between vertex sets, exponential graphs, and folds.
 
 Vertices are indices 0..n-1 with string labels. Neighborhoods are stored as
 int bitsets, so subset tests and common-neighbor intersections are single
-big-int operations.
+big-int operations. A map [n] -> [m] is its tuple of 1-based values.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from .errors import InvalidArgumentError, ResourceLimitError
 
 __all__ = [
     "Graph",
-    "FnVertex",
+    "Map",
+    "map_label",
+    "missing_value",
     "complete_graph",
     "cycle_graph",
     "exponential_graph",
@@ -29,7 +30,11 @@ __all__ = [
     "DEFAULT_VERTEX_BOUND",
 ]
 
-DEFAULT_VERTEX_BOUND = 10**6
+# A Graph keeps one V-bit neighbour mask per vertex, V^2 bits in all, so
+# 2^16 vertices keep the masks at or under 512 MB.
+DEFAULT_VERTEX_BOUND = 2**16
+
+Map = Tuple[int, ...]
 
 
 class Graph:
@@ -113,51 +118,29 @@ def _bits(mask: int) -> Tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True, order=True)
-class FnVertex:
-    """A map [n] -> [m], stored as 1-based values; position i holds the image of i+1."""
-
-    values: Tuple[int, ...]
-
-    @property
-    def domain_size(self) -> int:
-        return len(self.values)
-
-    @property
-    def is_constant(self) -> bool:
-        return len(set(self.values)) == 1
-
-    @property
-    def is_injective(self) -> bool:
-        return len(set(self.values)) == len(self.values)
-
-    @property
-    def image(self) -> frozenset:
-        return frozenset(self.values)
-
-    def missing_values(self, m: int) -> Tuple[int, ...]:
-        im = set(self.values)
-        return tuple(x for x in range(1, m + 1) if x not in im)
-
-    def label(self) -> str:
-        if self.is_constant:
-            return f"<{self.values[0]}>"
-        if max(self.values) <= 9:
-            return "".join(str(x) for x in self.values)
-        return ",".join(str(x) for x in self.values)
+def map_label(f: Map) -> str:
+    """`<x>` for the constant x, else the values run together, comma-joined past 9."""
+    if len(set(f)) == 1:
+        return f"<{f[0]}>"
+    if max(f) <= 9:
+        return "".join(map(str, f))
+    return ",".join(map(str, f))
 
 
-def variant(f: FnVertex, k: int, x: int) -> FnVertex:
+def missing_value(f: Map, m: int) -> int:
+    """The least value in 1..m outside the image of f."""
+    return next(x for x in range(1, m + 1) if x not in f)
+
+
+def variant(f: Map, k: int, x: int) -> Map:
     """Replace position k (1-based) of an injective map by a value outside its image."""
-    if not f.is_injective:
-        raise InvalidArgumentError(f"variant requires an injective map, got {f.values}")
-    if not 1 <= k <= f.domain_size:
-        raise InvalidArgumentError(f"position {k} out of range for domain size {f.domain_size}")
-    if x in f.image:
-        raise InvalidArgumentError(f"value {x} already in the image of {f.values}")
-    vals = list(f.values)
-    vals[k - 1] = x
-    return FnVertex(tuple(vals))
+    if len(set(f)) != len(f):
+        raise InvalidArgumentError(f"variant requires an injective map, got {f}")
+    if not 1 <= k <= len(f):
+        raise InvalidArgumentError(f"position {k} out of range for domain size {len(f)}")
+    if x in f:
+        raise InvalidArgumentError(f"value {x} already in the image of {f}")
+    return f[:k - 1] + (x,) + f[k:]
 
 
 def complete_graph(n: int) -> Graph:
@@ -174,21 +157,19 @@ def cycle_graph(n: int) -> Graph:
                             [(i, (i + 1) % n) for i in range(n)])
 
 
-def _map_adjacency(verts: Sequence[Tuple[int, ...]], index: Dict[Tuple[int, ...], int],
-                   G: Graph, H: Graph) -> List[int]:
-    """Adjacency among map vertices: f ~ g iff every edge (u,v) of G has f(u) ~ g(v) in H.
+def _map_graph(verts: Sequence[Map], G: Graph, H: Graph) -> Graph:
+    """The graph on the maps `verts`, in that order, labeled by `map_label`.
 
+    f ~ g iff every edge (u,v) of G (loops included) has f(u) ~ g(v) in H.
     For each f the valid partners form a product set, one independent choice
     per position, so neighbors are enumerated rather than tested pairwise.
     """
-    n = G.vertex_count
-    m = H.vertex_count
-    full = (1 << m) - 1
+    index = {f: i for i, f in enumerate(verts)}
+    full = (1 << H.vertex_count) - 1
     nbr = [0] * len(verts)
     for i, values in enumerate(verts):
         allowed: List[List[int]] = []
-        empty = False
-        for v in range(n):
+        for v in range(G.vertex_count):
             mask = full
             gm = G.neighbor_mask(v)
             u = 0
@@ -198,27 +179,20 @@ def _map_adjacency(verts: Sequence[Tuple[int, ...]], index: Dict[Tuple[int, ...]
                 gm >>= 1
                 u += 1
             if mask == 0:
-                empty = True
                 break
             allowed.append([b + 1 for b in _bits(mask)])
-        if empty:
-            continue
-        acc = 0
-        for combo in itertools.product(*allowed):
-            t = index.get(combo)
-            if t is not None:
-                acc |= 1 << t
-        nbr[i] = acc
-    return nbr
+        else:
+            acc = 0
+            for combo in itertools.product(*allowed):
+                t = index.get(combo)
+                if t is not None:
+                    acc |= 1 << t
+            nbr[i] = acc
+    return Graph([map_label(f) for f in verts], nbr)
 
 
 def exponential_graph(G: Graph, H: Graph) -> Graph:
-    """The graph H^G on all maps V(G) -> V(H).
-
-    f ~ g iff every edge (u,v) of G (loops included) has f(u) ~ g(v) in H.
-    Vertices are ordered lexicographically by value tuple and labeled in map
-    notation ("<x>" for constants, value strings otherwise).
-    """
+    """The graph H^G on all maps V(G) -> V(H), in lexicographic order (see `_map_graph`)."""
     n = G.vertex_count
     m = H.vertex_count
     if n == 0 or m == 0:
@@ -228,11 +202,7 @@ def exponential_graph(G: Graph, H: Graph) -> Graph:
         raise ResourceLimitError(
             f"exponential graph would have {total} vertices, "
             f"over the bound {DEFAULT_VERTEX_BOUND}")
-    verts = list(itertools.product(range(1, m + 1), repeat=n))
-    index = {v: i for i, v in enumerate(verts)}
-    nbr = _map_adjacency(verts, index, G, H)
-    labels = [FnVertex(v).label() for v in verts]
-    return Graph(labels, nbr)
+    return _map_graph(list(itertools.product(range(1, m + 1), repeat=n)), G, H)
 
 
 def neighborhood(G: Graph, A: Iterable[int]) -> Tuple[int, ...]:
@@ -276,7 +246,7 @@ def fold_reduce(G: Graph) -> Graph:
     return G.induced(alive)
 
 
-def core_vertices(m: int, n: int) -> List[FnVertex]:
+def core_vertices(m: int, n: int) -> List[Map]:
     """Constant maps <1>..<m> first, then injective maps in lexicographic order.
 
     Refuses before listing any map when there would be more than
@@ -289,20 +259,15 @@ def core_vertices(m: int, n: int) -> List[FnVertex]:
         raise ResourceLimitError(
             f"core of K_{m}^{{K_{n}}} would have {total} vertices, "
             f"over the bound {DEFAULT_VERTEX_BOUND}")
-    verts = [FnVertex((x,) * n) for x in range(1, m + 1)]
+    verts = [(x,) * n for x in range(1, m + 1)]
     if n > 1:
-        verts.extend(FnVertex(p) for p in itertools.permutations(range(1, m + 1), n))
+        verts.extend(itertools.permutations(range(1, m + 1), n))
     return verts
 
 
 def fold_core_exponential(m: int, n: int) -> Graph:
     """Subgraph of K_m^{K_n} induced on constant and injective maps."""
-    verts = core_vertices(m, n)
-    index = {v.values: i for i, v in enumerate(verts)}
-    G = complete_graph(n)
-    H = complete_graph(m)
-    nbr = _map_adjacency([v.values for v in verts], index, G, H)
-    return Graph([v.label() for v in verts], nbr)
+    return _map_graph(core_vertices(m, n), complete_graph(n), complete_graph(m))
 
 
 def graph_to_json(G: Graph) -> dict:

@@ -17,7 +17,7 @@ from .complexes import Complex, Face, build_delta, delta_facet_families, neighbo
 from .errors import (InternalConsistencyError, InvalidArgumentError,
                      LemmaViolationError)
 from .gf2 import BettiTable, Gf2Matrix, betti_bounded, betti_of_chain, rank_gf2
-from .graphs import FnVertex, core_vertices, fold_core_exponential, variant
+from .graphs import Map, core_vertices, fold_core_exponential, missing_value, variant
 from .morse import (AcyclicityResult, CriticalSet, DescentCache, FacePoset,
                     critical_cells, face_poset, is_acyclic, morse_boundaries,
                     path_cells, validate_matching)
@@ -38,9 +38,10 @@ __all__ = [
 
 
 @lru_cache(maxsize=None)
-def _core(n: int) -> Tuple[Tuple[FnVertex, ...], Dict[Tuple[int, ...], int]]:
+def _core(n: int) -> Tuple[Tuple[Map, ...], Dict[Map, int]]:
+    """The core maps and their ids, laid out as `complexes._core_index` states."""
     verts = tuple(core_vertices(n + 1, n))
-    return verts, {v.values: i for i, v in enumerate(verts)}
+    return verts, {f: i for i, f in enumerate(verts)}
 
 
 @lru_cache(maxsize=None)
@@ -86,34 +87,32 @@ def build_matching_mu(n: int) -> Dict[Face, Face]:
     for c in P.cells(1):
         if c in pairs or c[0] == 0:
             continue
-        i, j = c
-        a, b = verts[i], verts[j]
-        if a.is_constant and b.is_constant:
+        i, j = c  # i < j, so i is the constant of a mixed edge
+        if j <= n:
             raise InternalConsistencyError(
                 f"two-constant edge {c} survived the first stage")
-        if not a.is_constant and not b.is_constant:
-            diffs = [t for t in range(n) if a.values[t] != b.values[t]]
+        if i > n:
+            a, b = verts[i], verts[j]
+            diffs = [t for t in range(n) if a[t] != b[t]]
             if len(diffs) != 1:
                 raise InternalConsistencyError(
                     f"injective edge {c} differs in {len(diffs)} positions")
             p = diffs[0]
-            third = max(a.values[p], b.values[p]) - 1
+            third = max(a[p], b[p]) - 1
             up = tuple(sorted((i, j, third)))
         else:
-            ci, fi = (i, j) if a.is_constant else (j, i)
-            f = verts[fi]
-            cval = verts[ci].values[0]
-            if cval not in f.image:
-                if 1 not in f.image:
+            f, cval = verts[j], i + 1
+            if cval not in f:
+                if 1 not in f:
                     raise InternalConsistencyError(
                         f"edge {c} misses both {cval} and 1 in one injective")
-                k = f.values.index(1) + 1
-                up = tuple(sorted((fi, index[variant(f, k, cval).values], ci)))
-            elif 1 in f.image:
+                k = f.index(1) + 1
+                up = tuple(sorted((j, index[variant(f, k, cval)], i)))
+            elif 1 in f:
                 raise InternalConsistencyError(
                     f"edge {c} should have been matched in the first stage")
             elif cval != 2:
-                up = tuple(sorted((fi, ci, 1)))
+                up = tuple(sorted((j, i, 1)))
             else:
                 continue  # {f,<2>} with 1 outside the image stays critical
         if up not in P:
@@ -182,7 +181,7 @@ def closed_form_critical(n: int) -> CriticalSet:
     return CriticalSet(tuple(tuple(sorted(level)) for level in by_dim))
 
 
-def wn_transposition_ordering(n: int) -> Tuple[FnVertex, ...]:
+def wn_transposition_ordering(n: int) -> Tuple[Map, ...]:
     """All orderings of the values 2..n+1, consecutive ones one swap apart.
 
     Plain-changes generation: repeatedly move the largest mobile element,
@@ -193,7 +192,7 @@ def wn_transposition_ordering(n: int) -> Tuple[FnVertex, ...]:
     vals = list(range(2, n + 2))
     perm = list(range(n))
     dirs = [-1] * n
-    out = [FnVertex(tuple(vals[p] for p in perm))]
+    out = [tuple(vals[p] for p in perm)]
     while True:
         mv, mi = -1, -1
         for idx, v in enumerate(perm):
@@ -206,7 +205,7 @@ def wn_transposition_ordering(n: int) -> Tuple[FnVertex, ...]:
         perm[mi], perm[t] = perm[t], perm[mi]
         for v in range(mv + 1, n):
             dirs[v] = -dirs[v]
-        out.append(FnVertex(tuple(vals[p] for p in perm)))
+        out.append(tuple(vals[p] for p in perm))
 
 
 def _injective_triangles(crit: CriticalSet, n: int) -> Tuple[Face, ...]:
@@ -224,7 +223,7 @@ def _incidence(n: int) -> Gf2Matrix:
     crit = _critical(n)
     cache = _descent(n)
     verts, index = _core(n)
-    rows = tuple(tuple(sorted((1, index[w.values])))
+    rows = tuple(tuple(sorted((1, index[w])))
                  for w in wn_transposition_ordering(n))
     if set(rows) != set(crit.cells(1)):
         raise LemmaViolationError(
@@ -256,15 +255,14 @@ def _check_two_path_targets(n: int) -> bool:
     for tau in _injective_triangles(_critical(n), n):
         x = tau[0] + 1
         g1, g2 = verts[tau[1]], verts[tau[2]]
-        if (x in g1.image) == (x in g2.image):
+        if (x in g1) == (x in g2):
             return False
-        f, fi = (g1, g2) if x not in g1.image else (g2, g1)
-        if 1 not in f.image or 1 not in fi.image:
+        f, fi = (g1, g2) if x not in g1 else (g2, g1)
+        if 1 not in f or 1 not in fi:
             return False
-        k = f.values.index(1) + 1
-        miss_fi = fi.missing_values(n + 1)[0]
-        want = {tuple(sorted((1, index[variant(f, k, x).values]))),
-                tuple(sorted((1, index[variant(fi, k, miss_fi).values])))}
+        k = f.index(1) + 1
+        want = {tuple(sorted((1, index[variant(f, k, x)]))),
+                tuple(sorted((1, index[variant(fi, k, missing_value(fi, n + 1))])))}
         if set(cache.boundary_support(tau)) != want:
             return False
     return True
@@ -280,14 +278,14 @@ def _check_wn(n: int) -> bool:
     if len(seq) != factorial(n) or len(set(seq)) != len(seq):
         return False
     want = frozenset(range(2, n + 2))
-    if any(frozenset(w.values) != want for w in seq):
+    if any(frozenset(w) != want for w in seq):
         return False
     for a, b in zip(seq, seq[1:]):
-        d = [t for t in range(n) if a.values[t] != b.values[t]]
+        d = [t for t in range(n) if a[t] != b[t]]
         if len(d) != 2:
             return False
         p, q = d
-        if a.values[p] != b.values[q] or a.values[q] != b.values[p]:
+        if a[p] != b[q] or a[q] != b[p]:
             return False
     return True
 
@@ -412,17 +410,11 @@ def _check_trichotomy(n: int) -> bool:
         if c[0] == 0 or (0,) + c in P:
             continue
         i, j = c
-        a, b = verts[i], verts[j]
-        if a.is_constant and b.is_constant:
+        if j <= n:
             return False
-        if not a.is_constant and not b.is_constant:
-            critical = False  # injective pair
-        else:
-            f, const = (b, a) if a.is_constant else (a, b)
-            cval = const.values[0]
-            # a missing value is always matched; of the covered values only
-            # {f,<2>} with 1 outside the image stays critical
-            critical = cval in f.image and cval == 2 and 1 not in f.image
+        # an injective pair and a missing value are always matched; of the
+        # covered values only {f,<2>} with 1 outside the image stays critical
+        critical = i == 1 and 2 in verts[j] and 1 not in verts[j]
         if critical != (c not in cache.pairs and c not in cache.upper):
             return False
     return True

@@ -26,7 +26,7 @@ from typing import (AbstractSet, Callable, Dict, FrozenSet, Iterable, Iterator, 
 from expmorse.complexes import Complex, Face, _core_index
 from expmorse.errors import InvalidArgumentError, PreconditionError, ResourceLimitError
 from expmorse.gf2 import Gf2Matrix
-from expmorse.graphs import Graph, _bits, variant
+from expmorse.graphs import Graph, _bits, missing_value, variant
 from expmorse.morse import AcyclicityResult, FacePoset
 
 FaceRule = Callable[[Face], List[Face]]
@@ -206,21 +206,19 @@ def _cascade_steps(n: int) -> Iterator[Tuple[Face, Optional[Face]]]:
     map through its only facet.
     """
     verts, index = _core_index(n)
-    for i, f in enumerate(verts):
-        if not (f.is_injective and not f.is_constant):
-            continue
-        x = f.missing_values(n + 1)[0]
-        xs = sorted(index[variant(f, s, x).values] for s in range(1, n + 1))
+    injective = range(n + 1, len(verts))
+    for i in injective:
+        f = verts[i]
+        x = missing_value(f, n + 1)
+        xs = sorted(index[variant(f, s, x)] for s in range(1, n + 1))
         yield from _free_family_steps((), xs, [i, x - 1])
     for y in range(1, n + 2):
-        xs = [i for i, f in enumerate(verts)
-              if f.is_injective and not f.is_constant and y not in f.image]
+        xs = [i for i in injective if y not in verts[i]]
         yield from _free_family_steps((), xs, [z - 1 for z in range(1, n + 2) if z != y])
-    for i, f in enumerate(verts):
-        if not (f.is_injective and not f.is_constant):
-            continue
-        anchor = 1 if 1 in f.image else 2
-        rest = [y for y in sorted(f.image) if y != anchor]
+    for i in injective:
+        f = verts[i]
+        anchor = 1 if 1 in f else 2
+        rest = [y for y in sorted(f) if y != anchor]
         for a in range(len(rest) - 1):
             for b in range(a + 1, len(rest)):
                 yield (rest[a] - 1, rest[b] - 1, i), None

@@ -98,7 +98,7 @@ def test_a06_two_path_structure_exhaustive(n):
     crit = critical_cells(P, DescentCache(P, pairs))
     ones = set(crit.cells(1))
     verts = core_vertices(n + 1, n)
-    index = {v.values: i for i, v in enumerate(verts)}
+    index = {f: i for i, f in enumerate(verts)}
     checked = 0
     for tau in crit.cells(2):
         injs = [v for v in tau if v > n]
@@ -106,7 +106,7 @@ def test_a06_two_path_structure_exhaustive(n):
             continue  # the all-constants cell carries no paths
         want = set()
         for v in injs:
-            g = verts[v].values
+            g = verts[v]
             missing = (set(range(1, n + 2)) - set(g)).pop()
             want.add((1, index[_replace_one(g, missing)]))
         ends = {}
@@ -252,10 +252,10 @@ def test_a11c_transposition_orderings():
         assert len(order) == math.factorial(n)
         assert len(set(order)) == len(order)
         for a, b in zip(order, order[1:]):
-            diff = [i for i in range(n) if a.values[i] != b.values[i]]
+            diff = [i for i in range(n) if a[i] != b[i]]
             assert len(diff) == 2
             i, j = diff
-            assert a.values[i] == b.values[j] and a.values[j] == b.values[i]
+            assert a[i] == b[j] and a[j] == b[i]
     print("\n[PASS] value-string orderings are transposition Gray codes for "
           "n=2..5")
 

@@ -170,15 +170,18 @@ def test_malformed_graph_json_exits_two(tmp_path, capsys, graph):
 
 
 @pytest.mark.parametrize("command", ["compute homology --exp 11 11",
-                                     "reproduce --n 11 --m 11"])
+                                     "reproduce --n 11 --m 11",
+                                     "compute exp-graph --g k6 --h k7",
+                                     "compute homology --exp 9 8"])
 def test_core_over_the_vertex_bound_exits_three_at_once(capsys, command):
-    # The core of K_11^{K_11} has 11 + 11! vertices.
+    # The core of K_11^{K_11} has 11 + 11! vertices, K_7^{K_6} has 7^6 and
+    # the core of K_9^{K_8} 9 + 9! vertices.
     start = time.perf_counter()
     code, out, err = _run(capsys, *command.split())
     assert time.perf_counter() - start < 1
     assert code == 3
     assert out == ""
-    assert "over the bound 1000000" in err
+    assert "over the bound 65536" in err
 
 
 def test_reproduce_m_obeys_the_size_rule_of_its_full_report(capsys):

@@ -9,11 +9,11 @@ import pytest
 from expmorse.complexes import neighborhood_complex
 from expmorse.errors import InvalidArgumentError, ResourceLimitError
 from expmorse.gf2 import betti_bounded
-from expmorse.graphs import (FnVertex, Graph, complete_graph, core_vertices,
+from expmorse.graphs import (Graph, complete_graph, core_vertices,
                              cycle_graph, exponential_graph,
                              fold_core_exponential, fold_reduce,
-                             graph_from_json, graph_to_json, neighborhood,
-                             variant)
+                             graph_from_json, graph_to_json, map_label,
+                             missing_value, neighborhood, variant)
 from oracles import categorical_product, find_fold
 
 
@@ -88,13 +88,18 @@ def test_categorical_product_is_two_disjoint_edges():
     assert deg == [1, 1, 1, 1]
 
 
-def test_fnvertex_variant():
-    f = FnVertex((1, 3, 2))
-    assert variant(f, 1, 4).values == (4, 3, 2)
-    assert variant(f, 3, 4).values == (1, 3, 4)
-    assert f.image == frozenset({1, 2, 3})
-    with pytest.raises(InvalidArgumentError):
-        variant(f, 0, 4)
+def test_map_helpers():
+    assert map_label((3, 3, 3)) == "<3>"
+    assert map_label((1, 3, 2)) == "132"
+    assert map_label((1, 10)) == "1,10"
+    assert map_label((10, 10)) == "<10>"
+    f = (1, 3, 2)
+    assert missing_value(f, 4) == 4
+    assert variant(f, 1, 4) == (4, 3, 2)
+    assert variant(f, 3, 4) == (1, 3, 4)
+    for bad in [((1, 1, 2), 1, 4), (f, 0, 4), (f, 1, 2)]:
+        with pytest.raises(InvalidArgumentError):
+            variant(*bad)
 
 
 def test_neighborhood_intersection():
@@ -162,6 +167,15 @@ def test_core_vertex_counts(m, n, count):
     assert len(core_vertices(m, n)) == count
     if m >= n:
         assert count == m + math.factorial(m) // math.factorial(m - n)
+
+
+@pytest.mark.parametrize("m,n", [(4, 3), (5, 4), (3, 5), (6, 5)])
+def test_core_lists_the_constants_then_the_injective_maps(m, n):
+    # <x> has id x - 1 and the injective maps follow; the id tests rely on it
+    verts = core_vertices(m, n)
+    assert verts[:m] == [(x,) * n for x in range(1, m + 1)]
+    assert verts[m:] == [f for f in itertools.product(range(1, m + 1), repeat=n)
+                         if len(set(f)) == n]
 
 
 def test_core_is_stiff():

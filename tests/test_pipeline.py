@@ -48,20 +48,26 @@ def test_wn_ordering_is_a_transposition_gray_code(n):
     vals = set(range(2, n + 2))
     seen = set()
     for w in order:
-        assert set(w.values) == vals
-        assert w.values not in seen
-        seen.add(w.values)
+        assert set(w) == vals
+        assert w not in seen
+        seen.add(w)
     for a, b in zip(order, order[1:]):
-        diff = [i for i in range(n) if a.values[i] != b.values[i]]
+        diff = [i for i in range(n) if a[i] != b[i]]
         assert len(diff) == 2
         i, j = diff
-        assert a.values[i] == b.values[j] and a.values[j] == b.values[i]
+        assert a[i] == b[j] and a[j] == b[i]
 
 
 def test_wn_smallest_case():
-    assert [w.values for w in wn_transposition_ordering(2)] == [(2, 3), (3, 2)]
+    assert wn_transposition_ordering(2) == ((2, 3), (3, 2))
     with pytest.raises(InvalidArgumentError):
         wn_transposition_ordering(1)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_pipeline_and_complexes_index_the_core_alike(n):
+    verts, index = pipeline._core(n)
+    assert (list(verts), index) == complexes._core_index(n)
 
 
 @pytest.mark.parametrize("n,rank", [(3, 5), (4, 23), (5, 119)])
