@@ -143,9 +143,17 @@ def variant(f: Map, k: int, x: int) -> Map:
     return f[:k - 1] + (x,) + f[k:]
 
 
+def _bounded(total: int, what: str) -> None:
+    """Refuse a graph of `total` vertices over DEFAULT_VERTEX_BOUND, before building it."""
+    if total > DEFAULT_VERTEX_BOUND:
+        raise ResourceLimitError(f"{what} would have {total} vertices, "
+                                 f"over the bound {DEFAULT_VERTEX_BOUND}")
+
+
 def complete_graph(n: int) -> Graph:
     if n < 1:
         raise InvalidArgumentError("complete graph needs at least one vertex")
+    _bounded(n, "complete graph")
     full = (1 << n) - 1
     return Graph([str(i + 1) for i in range(n)], [full ^ (1 << i) for i in range(n)])
 
@@ -153,6 +161,7 @@ def complete_graph(n: int) -> Graph:
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise InvalidArgumentError("cycle graph needs at least three vertices")
+    _bounded(n, "cycle graph")
     return Graph.from_edges([str(i + 1) for i in range(n)],
                             [(i, (i + 1) % n) for i in range(n)])
 
@@ -161,33 +170,31 @@ def _map_graph(verts: Sequence[Map], G: Graph, H: Graph) -> Graph:
     """The graph on the maps `verts`, in that order, labeled by `map_label`.
 
     f ~ g iff every edge (u,v) of G (loops included) has f(u) ~ g(v) in H.
-    For each f the valid partners form a product set, one independent choice
-    per position, so neighbors are enumerated rather than tested pairwise.
+    `at[v][b]` masks the maps that send v to b + 1. The maps that fit f at v
+    are the OR of `at[v]` over the values H allows there (over the others,
+    complemented, when more than half are allowed), and f's neighbors are
+    the AND over v: O(|verts|·(|E(G)| + |V(G)|·|V(H)|)) big-int operations.
     """
-    index = {f: i for i, f in enumerate(verts)}
-    full = (1 << H.vertex_count) - 1
-    nbr = [0] * len(verts)
-    for i, values in enumerate(verts):
-        allowed: List[List[int]] = []
-        for v in range(G.vertex_count):
-            mask = full
-            gm = G.neighbor_mask(v)
-            u = 0
-            while gm:
-                if gm & 1:
-                    mask &= H.neighbor_mask(values[u] - 1)
-                gm >>= 1
-                u += 1
-            if mask == 0:
-                break
-            allowed.append([b + 1 for b in _bits(mask)])
-        else:
-            acc = 0
-            for combo in itertools.product(*allowed):
-                t = index.get(combo)
-                if t is not None:
-                    acc |= 1 << t
-            nbr[i] = acc
+    nh, full = H.vertex_count, (1 << H.vertex_count) - 1
+    every = (1 << len(verts)) - 1
+    at = [[0] * nh for _ in range(G.vertex_count)]
+    for i, f in enumerate(verts):
+        for v, x in enumerate(f):
+            at[v][x - 1] |= 1 << i
+    around = [G.neighbors(v) for v in range(G.vertex_count)]
+    nbr = []
+    for f in verts:
+        acc = every
+        for v, us in enumerate(around):
+            allowed = full
+            for u in us:
+                allowed &= H.neighbor_mask(f[u] - 1)
+            flip = 2 * allowed.bit_count() > nh
+            fit = 0
+            for b in _bits(allowed ^ full if flip else allowed):
+                fit |= at[v][b]
+            acc &= every ^ fit if flip else fit
+        nbr.append(acc)
     return Graph([map_label(f) for f in verts], nbr)
 
 
@@ -197,11 +204,7 @@ def exponential_graph(G: Graph, H: Graph) -> Graph:
     m = H.vertex_count
     if n == 0 or m == 0:
         raise InvalidArgumentError("exponential graph needs nonempty G and H")
-    total = m ** n
-    if total > DEFAULT_VERTEX_BOUND:
-        raise ResourceLimitError(
-            f"exponential graph would have {total} vertices, "
-            f"over the bound {DEFAULT_VERTEX_BOUND}")
+    _bounded(m ** n, "exponential graph")
     return _map_graph(list(itertools.product(range(1, m + 1), repeat=n)), G, H)
 
 
@@ -254,11 +257,7 @@ def core_vertices(m: int, n: int) -> List[Map]:
     """
     if m < 1 or n < 1:
         raise InvalidArgumentError("need m >= 1 and n >= 1")
-    total = m + math.perm(m, n) if n > 1 else m
-    if total > DEFAULT_VERTEX_BOUND:
-        raise ResourceLimitError(
-            f"core of K_{m}^{{K_{n}}} would have {total} vertices, "
-            f"over the bound {DEFAULT_VERTEX_BOUND}")
+    _bounded(m + math.perm(m, n) if n > 1 else m, f"core of K_{m}^{{K_{n}}}")
     verts = [(x,) * n for x in range(1, m + 1)]
     if n > 1:
         verts.extend(itertools.permutations(range(1, m + 1), n))

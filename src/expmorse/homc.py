@@ -38,16 +38,17 @@ def enumerate_hom_cells(G: Graph, H: Graph) -> List[Cell]:
     Each vertex tries its masks in ascending order, so the cells come out
     sorted. A partial choice of sets is pruned through the target adjacency:
     once S_u is fixed, any later neighbor v of u may only use vertices
-    adjacent to all of S_u.
+    adjacent to all of S_u. Each placed vertex tests all 2^|H| - 1 sets;
+    ResourceLimitError is raised at the first placement that would take the
+    tests past DEFAULT_MAX_CONFIGS, and at once when one placement would.
     """
     ng, nh = G.vertex_count, H.vertex_count
     if ng == 0 or nh == 0:
         raise InvalidArgumentError("hom cells need nonempty graphs")
-    # Crude upper bound on the search tree: each vertex picks a nonempty subset.
-    if (2 ** nh - 1) ** ng > DEFAULT_MAX_CONFIGS:
-        raise ResourceLimitError(
-            f"hom cell enumeration bound exceeded: (2^{nh}-1)^{ng} configurations")
     full = (1 << nh) - 1
+    over = f"hom cell search would test over {DEFAULT_MAX_CONFIGS} candidate sets"
+    if full > DEFAULT_MAX_CONFIGS:
+        raise ResourceLimitError(over)
     subsets = [m for m in range(1, full + 1)]
 
     def common_mask(s: int) -> int:
@@ -60,11 +61,16 @@ def enumerate_hom_cells(G: Graph, H: Graph) -> List[Cell]:
     earlier = [tuple(w for w in G.neighbors(u) if w < u) for u in range(ng)]
     cells: List[Cell] = []
     chosen: List[int] = []
+    tested = 0
 
     def place(u: int):
+        nonlocal tested
         if u == ng:
             cells.append(tuple(chosen))
             return
+        tested += full
+        if tested > DEFAULT_MAX_CONFIGS:
+            raise ResourceLimitError(over)
         allowed = full
         for w in earlier[u]:
             allowed &= common[chosen[w]]

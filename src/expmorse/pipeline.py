@@ -184,28 +184,17 @@ def closed_form_critical(n: int) -> CriticalSet:
 def wn_transposition_ordering(n: int) -> Tuple[Map, ...]:
     """All orderings of the values 2..n+1, consecutive ones one swap apart.
 
-    Plain-changes generation: repeatedly move the largest mobile element,
-    so each step exchanges two adjacent positions.
+    Plain changes by insertion: each x = 3..n+1 goes into every ordering so
+    far, right to left into those at even positions and left to right into
+    the others, so each step exchanges two adjacent positions.
     """
     if n < 2:
         raise InvalidArgumentError("the ordering is defined for n >= 2")
-    vals = list(range(2, n + 2))
-    perm = list(range(n))
-    dirs = [-1] * n
-    out = [tuple(vals[p] for p in perm)]
-    while True:
-        mv, mi = -1, -1
-        for idx, v in enumerate(perm):
-            t = idx + dirs[v]
-            if 0 <= t < n and perm[t] < v and v > mv:
-                mv, mi = v, idx
-        if mv < 0:
-            return tuple(out)
-        t = mi + dirs[mv]
-        perm[mi], perm[t] = perm[t], perm[mi]
-        for v in range(mv + 1, n):
-            dirs[v] = -dirs[v]
-        out.append(tuple(vals[p] for p in perm))
+    out = [(2,)]
+    for x in range(3, n + 2):
+        out = [p[:k] + (x,) + p[k:] for i, p in enumerate(out)
+               for k in (range(len(p), -1, -1) if i % 2 == 0 else range(len(p) + 1))]
+    return tuple(out)
 
 
 def _injective_triangles(crit: CriticalSet, n: int) -> Tuple[Face, ...]:

@@ -12,6 +12,8 @@ import pytest
 
 from expmorse import cli
 from expmorse.cli import main
+from expmorse.graphs import complete_graph, graph_to_json
+from oracles import categorical_product
 
 
 def _run(capsys, *argv):
@@ -172,16 +174,48 @@ def test_malformed_graph_json_exits_two(tmp_path, capsys, graph):
 @pytest.mark.parametrize("command", ["compute homology --exp 11 11",
                                      "reproduce --n 11 --m 11",
                                      "compute exp-graph --g k6 --h k7",
-                                     "compute homology --exp 9 8"])
+                                     "compute homology --exp 9 8",
+                                     "compute fold --graph k70000",
+                                     "compute homology --graph c70000"])
 def test_core_over_the_vertex_bound_exits_three_at_once(capsys, command):
-    # The core of K_11^{K_11} has 11 + 11! vertices, K_7^{K_6} has 7^6 and
-    # the core of K_9^{K_8} 9 + 9! vertices.
+    # The core of K_11^{K_11} has 11 + 11! vertices, K_7^{K_6} has 7^6, the
+    # core of K_9^{K_8} 9 + 9! vertices, and the atoms 70,000 each.
     start = time.perf_counter()
     code, out, err = _run(capsys, *command.split())
     assert time.perf_counter() - start < 1
     assert code == 3
     assert out == ""
     assert "over the bound 65536" in err
+
+
+def _child(*argv):
+    """Run the CLI in a fresh interpreter; it must end within 20 s."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "expmorse.cli", *argv],
+                          capture_output=True, text=True, timeout=20, env=env)
+
+
+@pytest.mark.parametrize("n,m", [(30, 3), (11, 6)])
+def test_core_of_many_maps_into_few_values_ends(n, m):
+    # the core is the m constants; the maps it is built from may not be walked
+    proc = _child("reproduce", "--n", str(n), "--m", str(m))
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["crosschecks"] == [{"name": "sphere-betti", "pass": True}]
+
+
+def test_hom_of_edge_times_clique_through_the_command(tmp_path):
+    for n in (4, 5):
+        P = categorical_product(complete_graph(2), complete_graph(n))
+        (tmp_path / f"k2xk{n}.json").write_text(json.dumps(graph_to_json(P)))
+    proc = _child("compute", "hom", "--g", str(tmp_path / "k2xk4.json"), "--h", "k3")
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["betti"] == [1, 1, 0, 0, 0]
+    proc = _child("compute", "hom", "--g", str(tmp_path / "k2xk5.json"), "--h", "k4")
+    assert proc.returncode == 3
+    assert proc.stdout == ""
 
 
 def test_reproduce_m_obeys_the_size_rule_of_its_full_report(capsys):

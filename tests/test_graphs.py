@@ -5,6 +5,8 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from expmorse.complexes import neighborhood_complex
 from expmorse.errors import InvalidArgumentError, ResourceLimitError
@@ -57,6 +59,24 @@ def test_exponential_graph_matches_definition(g, h):
             if v >= u:
                 got.add((u, v))
     assert got == want
+
+
+@st.composite
+def _looped_graph(draw, most: int):
+    n = draw(st.integers(1, most))
+    edges = [p for p in itertools.combinations(range(n), 2) if draw(st.booleans())]
+    loops = [v for v in range(n) if draw(st.booleans())]
+    return Graph.from_edges([str(v) for v in range(n)], edges, loops)
+
+
+@settings(max_examples=200)
+@given(_looped_graph(4), _looped_graph(5))
+@example(Graph.from_edges(["a", "b"], [], loops=[0]),
+         Graph.from_edges(list("abcde"), [(0, 1), (1, 2), (2, 3)], loops=[0, 4]))
+def test_exponential_graph_matches_definition_on_drawn_pairs(g, h):
+    # A position with few neighbors in G allows over half of H's vertices
+    # (the complemented OR), one with many allows few (the plain OR).
+    test_exponential_graph_matches_definition(g, h)
 
 
 def test_exponential_complete_loops_are_injective_maps():
@@ -158,6 +178,17 @@ def test_fold_core_matches_iterated_folding(m, n):
     core = fold_core_exponential(m, n)
     assert sorted(folded.labels) == sorted(core.labels)
     assert _by_label(folded) == _by_label(core)
+
+
+@pytest.mark.parametrize("m,n", [(5, 4), (6, 5), (3, 5), (5, 5), (2, 6)])
+def test_core_is_induced_on_the_core_maps(m, n):
+    core = fold_core_exponential(m, n)
+    E = exponential_graph(complete_graph(n), complete_graph(m))
+    keep = set(core_vertices(m, n))
+    maps = itertools.product(range(1, m + 1), repeat=n)
+    sub = E.induced([i for i, f in enumerate(maps) if f in keep])
+    assert sorted(sub.labels) == sorted(core.labels)
+    assert _by_label(sub) == _by_label(core)
 
 
 @pytest.mark.parametrize("m,n,count", [

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import itertools
+import time
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from expmorse import homc
 from expmorse.complexes import neighborhood_complex
 from expmorse.errors import ResourceLimitError
 from expmorse.gf2 import betti_bounded
@@ -52,9 +54,29 @@ def test_edge_to_clique_cell_count_formula(b):
 
 
 def test_cell_count_bound():
-    # (2^6 - 1)^4 configurations, over DEFAULT_MAX_CONFIGS
+    # Hom(K4, K6) tests 174,258 candidate sets, under DEFAULT_MAX_CONFIGS:
+    # its cells are the 4-tuples of disjoint nonempty subsets of [6].
+    cells = enumerate_hom_cells(complete_graph(4), complete_graph(6))
+    assert len(cells) == 5 ** 6 - 4 * 4 ** 6 + 6 * 3 ** 6 - 4 * 2 ** 6 + 1
+    # Hom(K2×K5, K4) would test 21.5M and is refused early in the search.
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError):
+        enumerate_hom_cells(categorical_product(complete_graph(2), complete_graph(5)),
+                            complete_graph(4))
+    assert time.perf_counter() - start < 1
+
+
+def test_hom_search_counts_the_sets_it_tests(monkeypatch):
+    # 2,766 placements of 63 candidate sets each: 174,258 tests in all
+    monkeypatch.setattr(homc, "DEFAULT_MAX_CONFIGS", 174_258)
+    assert len(enumerate_hom_cells(complete_graph(4), complete_graph(6))) == 3360
+    monkeypatch.setattr(homc, "DEFAULT_MAX_CONFIGS", 174_257)
     with pytest.raises(ResourceLimitError):
         enumerate_hom_cells(complete_graph(4), complete_graph(6))
+    # one placement of 2^20 - 1 sets is over the bound before any table is built
+    monkeypatch.undo()
+    with pytest.raises(ResourceLimitError):
+        enumerate_hom_cells(complete_graph(1), complete_graph(20))
 
 
 def _label(cell) -> str:
@@ -141,6 +163,14 @@ def _trimmed_betti(C):
     while len(bt) > 1 and bt[-1] == 0:
         bt = bt[:-1]
     return bt
+
+
+@pytest.mark.parametrize("n,m", [(3, 2), (4, 2), (5, 2), (4, 3), (5, 3)])
+def test_hom_of_edge_times_clique_is_a_sphere(n, m):
+    # the paper's second claim on Hom itself: Hom(K2×Kn, Km) ≃ S^{m-2} for m < n
+    G = categorical_product(complete_graph(2), complete_graph(n))
+    OC = order_complex_of_hom(enumerate_hom_cells(G, complete_graph(m)))
+    assert _trimmed_betti(OC) == ((2,) if m == 2 else (1,) + (0,) * (m - 3) + (1,))
 
 
 def test_lovasz_equivalence_on_sample():
