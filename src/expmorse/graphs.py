@@ -225,28 +225,16 @@ def fold_reduce(G: Graph) -> Graph:
     of N(v), smallest u, then smallest v. It runs on a live-vertex mask, so
     neighborhoods are not rebuilt per step.
     """
-    n = G.vertex_count
-    alive = list(range(n))
+    alive = list(range(G.vertex_count))
     nbr = list(G._nbr)
     while True:
-        found = None
-        for u in alive:
-            nu = nbr[u]
-            for v in alive:
-                if v == u:
-                    continue
-                if nu & ~nbr[v] == 0:
-                    found = u
-                    break
-            if found is not None:
-                break
-        if found is None:
-            break
-        dead = ~(1 << found)
-        alive.remove(found)
+        u = next((u for u in alive
+                  if any(v != u and nbr[u] & ~nbr[v] == 0 for v in alive)), None)
+        if u is None:
+            return G.induced(alive)
+        alive.remove(u)
         for v in alive:
-            nbr[v] &= dead
-    return G.induced(alive)
+            nbr[v] &= ~(1 << u)
 
 
 def core_vertices(m: int, n: int) -> List[Map]:
@@ -287,6 +275,7 @@ def graph_from_json(data: dict) -> Graph:
         raise InvalidArgumentError(f"malformed graph JSON: {exc}") from exc
     if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
         raise InvalidArgumentError("malformed graph JSON: labels must be a list of strings")
+    _bounded(len(labels), "graph JSON")
     for v in [v for e in edges for v in e] + loops:
         if type(v) is not int:  # bool is an int subclass; JSON true is no vertex id
             raise InvalidArgumentError(f"malformed graph JSON: vertex id {v!r} is not an int")

@@ -33,56 +33,50 @@ Cell = Tuple[int, ...]
 
 
 def enumerate_hom_cells(G: Graph, H: Graph) -> List[Cell]:
-    """All cells of Hom(G, H), ascending. Backtracks over vertices of G in order.
+    """All cells of Hom(G, H), ascending, built one vertex of G at a time.
 
-    Each vertex tries its masks in ascending order, so the cells come out
-    sorted. A partial choice of sets is pruned through the target adjacency:
-    once S_u is fixed, any later neighbor v of u may only use vertices
-    adjacent to all of S_u. Each placed vertex tests all 2^|H| - 1 sets;
-    ResourceLimitError is raised at the first placement that would take the
-    tests past DEFAULT_MAX_CONFIGS, and at once when one placement would.
+    Each partial cell on vertices 0..u-1 is extended by the nonempty
+    submasks of its allowed mask at u, ascending, so every level is sorted.
+    Once S_w is fixed, a later neighbor u of w may only use vertices
+    adjacent to all of S_w, and a looped u only mutually adjacent ones;
+    common-neighbor masks are memoized when first asked for. Each partial
+    cell is charged 2^|H| - 1 tests, and ResourceLimitError is raised
+    before building a level that would take them past DEFAULT_MAX_CONFIGS.
     """
     ng, nh = G.vertex_count, H.vertex_count
     if ng == 0 or nh == 0:
         raise InvalidArgumentError("hom cells need nonempty graphs")
     full = (1 << nh) - 1
-    over = f"hom cell search would test over {DEFAULT_MAX_CONFIGS} candidate sets"
-    if full > DEFAULT_MAX_CONFIGS:
-        raise ResourceLimitError(over)
-    subsets = [m for m in range(1, full + 1)]
+    memo = {}
 
-    def common_mask(s: int) -> int:
-        allowed = full
-        for v in _bits(s):
-            allowed &= H.neighbor_mask(v)
-        return allowed
+    def common(s: int) -> int:
+        if s not in memo:
+            allowed = full
+            for v in _bits(s):
+                allowed &= H.neighbor_mask(v)
+            memo[s] = allowed
+        return memo[s]
 
-    common = {s: common_mask(s) for s in subsets}
-    earlier = [tuple(w for w in G.neighbors(u) if w < u) for u in range(ng)]
-    cells: List[Cell] = []
-    chosen: List[int] = []
+    cells: List[Cell] = [()]
     tested = 0
-
-    def place(u: int):
-        nonlocal tested
-        if u == ng:
-            cells.append(tuple(chosen))
-            return
-        tested += full
+    for u in range(ng):
+        tested += full * len(cells)
         if tested > DEFAULT_MAX_CONFIGS:
-            raise ResourceLimitError(over)
-        allowed = full
-        for w in earlier[u]:
-            allowed &= common[chosen[w]]
-        # looped vertex: the set must span mutually adjacent vertices
+            raise ResourceLimitError(
+                f"hom cell search would test over {DEFAULT_MAX_CONFIGS} candidate sets")
+        earlier = [w for w in G.neighbors(u) if w < u]
         looped = G.has_loop(u)
-        for s in subsets:
-            if s & allowed == s and not (looped and common[s] & s != s):
-                chosen.append(s)
-                place(u + 1)
-                chosen.pop()
-
-    place(0)
+        level = []
+        for cell in cells:
+            allowed = full
+            for w in earlier:
+                allowed &= common(cell[w])
+            s = -allowed & allowed  # the submasks of allowed, ascending
+            while s:
+                if not (looped and common(s) & s != s):
+                    level.append(cell + (s,))
+                s = (s - allowed) & allowed
+        cells = level
     return cells
 
 

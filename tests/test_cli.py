@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 import time
@@ -171,31 +172,45 @@ def test_malformed_graph_json_exits_two(tmp_path, capsys, graph):
     assert "malformed graph JSON" in err
 
 
+def _graph_file(path, n, edges):
+    path.write_text(json.dumps({"labels": [str(v) for v in range(n)],
+                                "edges": edges, "loops": []}))
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def big_graph_file(tmp_path_factory):
+    return _graph_file(tmp_path_factory.mktemp("big") / "big.json", 70_000,
+                       [[v, v + 1] for v in range(0, 70_000, 2)])
+
+
 @pytest.mark.parametrize("command", ["compute homology --exp 11 11",
                                      "reproduce --n 11 --m 11",
                                      "compute exp-graph --g k6 --h k7",
                                      "compute homology --exp 9 8",
                                      "compute fold --graph k70000",
-                                     "compute homology --graph c70000"])
-def test_core_over_the_vertex_bound_exits_three_at_once(capsys, command):
+                                     "compute homology --graph c70000",
+                                     "compute ncomplex --graph {big}",
+                                     "compute fold --graph {big}"])
+def test_core_over_the_vertex_bound_exits_three_at_once(capsys, big_graph_file, command):
     # The core of K_11^{K_11} has 11 + 11! vertices, K_7^{K_6} has 7^6, the
-    # core of K_9^{K_8} 9 + 9! vertices, and the atoms 70,000 each.
+    # core of K_9^{K_8} 9 + 9! vertices, and the atoms and the file 70,000 each.
     start = time.perf_counter()
-    code, out, err = _run(capsys, *command.split())
+    code, out, err = _run(capsys, *command.format(big=big_graph_file).split())
     assert time.perf_counter() - start < 1
     assert code == 3
     assert out == ""
     assert "over the bound 65536" in err
 
 
-def _child(*argv):
+def _child(*argv, **kw):
     """Run the CLI in a fresh interpreter; it must end within 20 s."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-m", "expmorse.cli", *argv],
-                          capture_output=True, text=True, timeout=20, env=env)
+                          capture_output=True, text=True, timeout=20, env=env, **kw)
 
 
 @pytest.mark.parametrize("n,m", [(30, 3), (11, 6)])
@@ -216,6 +231,39 @@ def test_hom_of_edge_times_clique_through_the_command(tmp_path):
     proc = _child("compute", "hom", "--g", str(tmp_path / "k2xk5.json"), "--h", "k4")
     assert proc.returncode == 3
     assert proc.stdout == ""
+
+
+def test_hom_from_a_deep_source_graph_ends(tmp_path):
+    # one level per vertex of G, so 2,000 vertices cost no stack
+    path = _graph_file(tmp_path / "path.json", 2000, [[v, v + 1] for v in range(1999)])
+    start = time.perf_counter()
+    proc = _child("compute", "hom", "--g", path, "--h", "k2")
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["betti"] == [2]
+    # 3^u partial cells on u isolated vertices pass the count long before the end
+    proc = _child("compute", "hom", "--g", _graph_file(tmp_path / "dots.json", 1200, []),
+                  "--h", "k2")
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+
+
+def _cap_memory():
+    # runs in the child between fork and exec, so only the child is capped
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("command", ["compute homology --exp 9 8",
+                                     "compute homology --exp 8 7",
+                                     "compute exp-graph --g k6 --h k7",
+                                     "reproduce --n 11 --m 11"])
+def test_command_past_a_budget_ends_under_a_memory_cap(command):
+    start = time.perf_counter()
+    proc = _child(*command.split(), preexec_fn=_cap_memory)
+    assert time.perf_counter() - start < 5
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert "out of memory" not in proc.stderr
 
 
 def test_reproduce_m_obeys_the_size_rule_of_its_full_report(capsys):

@@ -145,6 +145,19 @@ def test_fold_reduce_reaches_stiff_graph():
     assert len(f.labels) == 2 and len(f.edges()) == 1
 
 
+@settings(max_examples=300)
+@given(_looped_graph(9))
+def test_fold_reduce_deletes_the_oracle_folds_in_order(G):
+    # the oracle deletes find_fold's first vertex until no fold is left
+    want = G
+    while (fold := find_fold(want)) is not None:
+        want = want.induced([v for v in range(want.vertex_count) if v != fold[0]])
+    got = fold_reduce(G)
+    assert got.labels == want.labels
+    assert got.edges() == want.edges()
+    assert got.loops() == want.loops()
+
+
 def test_fold_preserves_neighborhood_betti():
     rng = random.Random(11)
     done = 0
