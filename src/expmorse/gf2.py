@@ -15,14 +15,24 @@ added to it), merged lazily: only the entries below the next pivot are
 read. A column that finds a fresh pivot is stored as the set XOR of the
 runs' unread tails, sorted, in one int64 array (a list of ints where codes
 can pass int64); a column that never collided stays its face.
+
+The top boundary ∂_{v+1}, whose faces are never listed, has a second
+route: the boundaries of the cones on each facet's least vertex span it
+(`_cone_rank`). It is taken when those cones number G_v <= f_v + rank ∂_v,
+the faces of the top listed level plus the rank below it; the rule has no
+tuning constant. Most cones meet a face no other kind of column holds,
+which is then a pivot at once; only the rest are reduced, as bitsets over
+the faces of their star chains.
 """
 from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, insort
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate, count, takewhile
+from itertools import accumulate, combinations, count, takewhile
+from math import comb
 from typing import (AbstractSet, Dict, Iterable, Iterator, List, Optional, Sequence, Set,
                     Tuple, Union)
 
@@ -139,9 +149,13 @@ def betti_bounded(C: Complex, maxdim: int, max_faces: int = DEFAULT_MAX_FACES) -
     lex order. Every boundary above it, up to ∂_{v+1} whose faces are never
     listed, is ranked through its transpose (`_reduce_coboundary`), one level
     at a time: each level skips the faces paired one level below, and its
-    pivots are the faces the next level skips. Dimensions above `C.dim` cost
-    nothing and have Betti number 0, but a maxdim above the budget itself is
-    refused.
+    pivots are the faces the next level skips. ∂_{v+1} is ranked from facet
+    cones instead (`_cone_rank`) when their count G_v (a facet F gives
+    C(|F| - 1, v + 1)) is at most f_v + rank ∂_v: the f_v faces of
+    dimension v, plus the rank ∂_v of those the coboundary route skips.
+    Neither route lists a face of dimension v + 1. Dimensions above `C.dim`
+    cost nothing and have Betti number 0, but a maxdim above the budget
+    itself is refused.
     """
     if maxdim < 0:
         raise InvalidArgumentError("maxdim must be nonnegative")
@@ -174,6 +188,11 @@ def betti_bounded(C: Complex, maxdim: int, max_faces: int = DEFAULT_MAX_FACES) -
     streamed = v <= top and spent[v + 1] > spent[v]
     last = len(levels) - 1 if streamed else len(levels) - 2
     for k in range(min(1, len(levels) - 1), last + 1):
+        # k is v only at the streamed top: cones there if G_v <= f_v + rank ∂_v
+        if k == v and (sum(comb(len(F) - 1, v + 1) for F in C.facets)
+                       <= len(levels[v]) + ranks[v]):
+            ranks[v + 1] = _cone_rank(C, v)
+            break
         pivots = _reduce_coboundary(C, levels[k], paired)
         ranks[k + 1] = len(pivots)
         if k < last:  # the next level's skip set; the top needs none
@@ -200,6 +219,9 @@ def _reduce_coboundary(C: Complex, faces: List[Face],
     column whose pivot is unclaimed is kept as its face alone: the pivot is
     face + (v,) for the least cofacet vertex v, coded by inserting the digit
     v where it sorts.
+
+    It serves every listed level, and the streamed top unless `betti_bounded`
+    ranks that from facet cones.
 
     Only a column whose pivot collides is built. It is held as a sum of
     runs: sorted, duplicate-free code lists read from the front, the face's
@@ -277,6 +299,54 @@ def _reduce_coboundary(C: Complex, faces: List[Face],
                 owner[pivot] = store([pivot] + sorted(tails))
                 break
     return owner
+
+
+def _cone_rank(C: Complex, v: int) -> int:
+    """The rank of ∂_{v+1}, from the boundaries of the cones on each facet's least vertex.
+
+    For a facet F with least vertex a, the cones a ∪ τ over the
+    (v + 1)-subsets τ of F - a span the boundary of every (v + 1)-face of F:
+    a face ρ missing a has ∂ρ = Σᵢ ∂(a ∪ ρᵢ), as ∂∂(a ∪ ρ) = 0. A cone's
+    boundary is τ plus its star chain, the faces a ∪ σ for the v-faces σ of
+    τ; the faces a ∪ σ of facets are the star faces. A τ that is no star
+    face is held by cone columns alone, so the first cone at it takes it as
+    a pivot, and each later one, with another apex, adds the XOR of the two
+    star chains (one with the same apex is the same face). Those vectors
+    and the cones whose τ is a star face are reduced as bitsets, one bit
+    for each star face they hold, numbered as first met. Cones are taken in
+    batches by the least vertex x of τ: the facets holding x past their
+    least vertex give the cones, those starting at x the star faces, and
+    the first apex of each τ is kept only while its batch is taken.
+    """
+    reaching: Dict[int, List[Face]] = defaultdict(list)  # x -> facets whose cones reach x
+    starting: Dict[int, List[Face]] = defaultdict(list)  # x -> facets whose least vertex is x
+    for F in C.facets:
+        if len(F) > v + 1:
+            starting[F[0]].append(F)
+            for x in F[1:]:
+                reaching[x].append(F)
+    free = 0  # the τ that are no star face: one pivot each
+
+    def vectors() -> Iterator[List[Face]]:
+        """The star faces of each vector to reduce, distinct, so their bits sum to it."""
+        nonlocal free
+        for x in sorted(reaching):  # the faces τ with least vertex x
+            stars = {(x,) + s for F in starting[x] for s in combinations(F[1:], v)}
+            first: Dict[Face, int] = {}  # τ -> the apex of its first cone, for τ not in stars
+            for F in reaching[x]:
+                a = F[0]
+                for s in combinations(F[bisect_left(F, x) + 1:], v):
+                    t = (x,) + s
+                    if t in stars:
+                        yield [t] + [(a,) + r for r in combinations(t, v)]
+                    elif first.setdefault(t, a) != a:
+                        yield [(b,) + r for b in (a, first[t]) for r in combinations(t, v)]
+            free += len(first)
+
+    bits: Dict[Face, int] = {}  # star face -> its bit's index, numbered as first met
+    rank = rank_of_bitsets(sum(1 << bits.setdefault(f, len(bits)) for f in faces)
+                           for faces in vectors())
+    return rank + free  # free is counted once vectors() is consumed
 
 
 def _add_run(runs: List[Tuple[int, int, Iterator[int]]], column: Sequence[int],

@@ -12,11 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from expmorse import gf2, pipeline
 from expmorse.complexes import DEFAULT_MAX_FACES, Complex, build_delta, neighborhood_complex
 from expmorse.errors import InvalidArgumentError, InvalidChainError, ResourceLimitError
-from expmorse.gf2 import (BettiTable, Gf2Matrix, _reduce_coboundary, betti_bounded,
+from expmorse.gf2 import (BettiTable, Gf2Matrix, _cone_rank, _reduce_coboundary, betti_bounded,
                           betti_of_chain, rank_gf2, rank_of_bitsets)
-from expmorse.graphs import complete_graph, cycle_graph, fold_core_exponential
+from expmorse.graphs import Graph, complete_graph, cycle_graph, fold_core_exponential
+from expmorse.homc import enumerate_hom_cells, order_complex_of_hom
 from oracles import boundary_matrix, heap_reduce_coboundary, identity_matrix, zero_matrix
 
 
@@ -230,20 +232,61 @@ def test_betti_bounded_against_dense_ranks(facets, small_budget):
             _check_against_dense(C, maxdim, budget)
 
 
-@pytest.mark.parametrize("C", [
-    Complex(list("abcdef"), [range(6)]),                     # a 5-simplex
-    Complex(list("abcdef"), [(0, 1, 2, 3, 4), (0, 1, 2, 5), (3, 4, 5)]),
-    Complex([str(i) for i in range(7)],                      # RP^2
-            [(1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
-             (2, 3, 5), (3, 5, 6), (3, 4, 6), (2, 4, 6), (2, 4, 5)]),
-    neighborhood_complex(complete_graph(6)),
-    neighborhood_complex(cycle_graph(9)),
-])
-def test_betti_bounded_streamed_top_with_clearing(C):
-    # every maxdim below the top leaves a nonempty streamed dimension whose
-    # coboundary skips the faces paired one level down
-    for maxdim in range(C.dim + 1):
+@pytest.mark.parametrize("C, top", [
+    (Complex(list("abcdef"), [range(6)]), 5),                # a 5-simplex
+    (Complex(list("abcdef"), [(0, 1, 2, 3, 4), (0, 1, 2, 5), (3, 4, 5)]), 4),
+    (Complex([str(i) for i in range(7)],                     # RP^2
+             [(1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
+              (2, 3, 5), (3, 5, 6), (3, 4, 6), (2, 4, 6), (2, 4, 5)]), 2),
+    (neighborhood_complex(complete_graph(6)), 4),
+    (neighborhood_complex(cycle_graph(9)), 1),
+    # NC(4): ∂₂ is ranked from facet cones (2,955 cones, 2,950 edges)
+    (neighborhood_complex(fold_core_exponential(5, 4)), 1),
+    # Hom(K2, K5): ∂₁ and ∂₂ stay on the coboundary route (2,880 cones each,
+    # against 180 vertices and 1,140 edges), ∂₃ is ranked from 960 cones
+    (order_complex_of_hom(enumerate_hom_cells(complete_graph(2), complete_graph(5))), 3),
+], ids=[f"C{i}" for i in range(7)])
+def test_betti_bounded_streamed_top_with_clearing(C, top):
+    # every maxdim below C.dim leaves a nonempty streamed dimension, ranked
+    # from facet cones or through a coboundary that skips the faces paired
+    # one level down; top is C.dim but for NC(4), too large for dense ranks
+    for maxdim in range(top + 1):
         _check_against_dense(C, maxdim, DEFAULT_MAX_FACES)
+
+
+def test_streamed_top_route_choice(monkeypatch):
+    log = []  # each level betti_bounded ranks: ("cone", v) or ("coboundary", k)
+    cone, coboundary = gf2._cone_rank, gf2._reduce_coboundary
+
+    def logged_cone(C, v):
+        log.append(("cone", v))
+        return cone(C, v)
+
+    def logged_coboundary(C, faces, skip):
+        log.append(("coboundary", len(faces[0]) - 1))
+        return coboundary(C, faces, skip)
+
+    monkeypatch.setattr(gf2, "_cone_rank", logged_cone)
+    monkeypatch.setattr(gf2, "_reduce_coboundary", logged_coboundary)
+    # NC(5)'s ∂₂: 56,556 cones, against 56,175 edges of which 725 are skipped
+    assert pipeline._nc_betti.__wrapped__(5).betti == (1, 1)
+    assert log == [("cone", 1)]
+    # Δ(6) is ranked whole, so no dimension is streamed
+    del log[:]
+    D = build_delta(6)
+    assert betti_bounded(D, D.dim).betti == (1, 1, 10081, 0, 0, 1)
+    assert log == [("coboundary", k) for k in range(1, D.dim)]
+    # nor are the neighborhood and Hom complexes of G(n, 1/2) on 5 and 6
+    # vertices, as the benchmark's ad hoc queries take them
+    rng, K2 = random.Random(12), complete_graph(2)
+    for nv in (5, 6) * 10:
+        pairs = [(a, b) for a in range(nv) for b in range(a + 1, nv)]
+        g = Graph.from_edges([str(v) for v in range(nv)], [e for e in pairs if rng.random() < 0.5])
+        for C in (neighborhood_complex(g), order_complex_of_hom(enumerate_hom_cells(K2, g))):
+            del log[:]
+            top = betti_bounded(C, max(C.dim, 0)).max_verified_dim
+            assert top == max(C.dim, 0)
+            assert log == [("coboundary", k) for k in range(1, top)]
 
 
 def _independent_columns(cols):
@@ -333,6 +376,33 @@ def test_coboundary_runs_past_int64_against_heap_oracle(facets):
     _reduces_as_heap_oracle(C, C.dim)
 
 
+_CONE_FACETS = st.lists(st.lists(st.integers(0, 13), min_size=4, max_size=9, unique=True),
+                        min_size=4, max_size=12)
+
+
+def _check_cone_rank(C):
+    for k in range(C.dim + 1):
+        want = rank_gf2(boundary_matrix(C, k + 1)) if k < C.dim else 0
+        assert _cone_rank(C, k) == want, k
+
+
+@settings(max_examples=60, deadline=None)
+@given(_CONE_FACETS)
+def test_cone_rank_against_dense_ranks(facets):
+    # these facets share many faces that hold no facet's least vertex, so
+    # most cone columns after the first at such a face add two star chains
+    _check_cone_rank(Complex([str(i) for i in range(14)], facets))
+
+
+@settings(max_examples=20, deadline=None)
+@given(_CONE_FACETS)
+def test_cone_rank_past_int64_against_dense_ranks(facets):
+    # the same facets on the top 14 of 10^5 + 14 labels, where codes of faces
+    # with four or more vertices pass int64
+    _check_cone_rank(Complex([str(i) for i in range(_PAD + 14)],
+                             [[_PAD + v for v in f] for f in facets]))
+
+
 def test_nc4_coboundary_runs_against_heap_oracle():
     NC = neighborhood_complex(fold_core_exponential(5, 4))
     assert _reduces_as_heap_oracle(NC, 3) == 95  # all of them in the ∂₂ pass
@@ -369,11 +439,13 @@ def test_delta6_brute_force_memory():
 
 
 def test_nc5_brute_force_memory():
-    # NC(5)'s ∂₂ pass stores only its 599 reduced columns: the 11,939
-    # apparent columns that collide are rebuilt from their faces each time.
-    # Kept as code lists, they made this rise 48 MB; it was about 20 MB
-    # without them, and is about 11 MB with the 312,396 codes of the reduced
-    # columns in int64 arrays rather than lists of ints.
+    # NC(5)'s ∂₂ is ranked from facet cones and stores no reduced column: it
+    # keeps the first apex of each face only while the faces with its least
+    # vertex are taken, and pivots over the 4,329 star faces, at most one
+    # each. The rise is about 6 MB, most of it the listed edges. On the
+    # coboundary route it was 48 MB with collided columns kept as code lists,
+    # about 20 MB with only the 599 reduced columns kept, and about 11 MB
+    # with those columns in int64 arrays.
     betti, rise_kb = _rss_rise("from expmorse.complexes import neighborhood_complex\n"
                                "from expmorse.gf2 import betti_bounded\n"
                                "from expmorse.graphs import fold_core_exponential\n"
@@ -381,12 +453,13 @@ def test_nc5_brute_force_memory():
                                "NC = neighborhood_complex(fold_core_exponential(6, 5))",
                                "betti_bounded(NC, NC.dim, max_faces=_NC_MAX_FACES).betti")
     assert betti == "(1, 1)"
-    assert rise_kb < 15 * 1024
+    assert rise_kb < 10 * 1024
 
 
 def test_reproduce_n5_memory():
     # the NC(5) brute-force pass sets the peak of the paper's headline run:
-    # about 16.5 MB above the imports, 25.5 MB with reduced columns as lists
+    # about 11 MB above the imports with ∂₂ ranked from facet cones, 16.5 MB
+    # on the coboundary route, 25.5 MB there with reduced columns as lists
     code, rise_kb = _rss_rise("import contextlib, io\n"
                               "from expmorse import cli\n"
                               "def run():\n"
@@ -394,7 +467,7 @@ def test_reproduce_n5_memory():
                               "        return cli.main(['reproduce', '--n', '5'])",
                               "run()")
     assert code == "0"
-    assert rise_kb < 21 * 1024
+    assert rise_kb < 16 * 1024
 
 
 def test_betti_of_chain_rejects_bad_chains():
