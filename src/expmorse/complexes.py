@@ -8,7 +8,8 @@ smallest first; membership, cofacets, the maximality filter and free-face
 collapses all ask it that way. Nothing else is kept per
 facet: the cofacet vertices of a face are read off the facets that hold it,
 as a sorted list, and the least of them from one scan of each such facet.
-The faces of each dimension are listed once, when first asked for, and kept.
+The faces of each dimension are listed once, when first asked for, and kept;
+edges can also be counted without listing them, one vertex at a time.
 
 `Complex.collapse` takes one step shape against that index: a family step
 (zs, xs, ys) removes at once every face of the facet zs + xs + ys that holds
@@ -22,6 +23,7 @@ the two are homotopy equivalent.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from collections import Counter
 from math import comb
 from typing import AbstractSet, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
@@ -179,6 +181,23 @@ class Complex:
         facet size.
         """
         return sum(m * comb(size, dim + 1) for size, m in self._sizes)
+
+    def edge_count(self) -> int:
+        """`len(faces_of_dim(1))`, counted without listing the edges.
+
+        The edges {u, w} with u < w are, for each vertex u, the vertices past
+        u in the facets holding u. Their union is taken one vertex at a time,
+        so the count costs the face estimate of dimension 1 in set inserts
+        and holds at most one vertex's neighbours.
+        """
+        count = 0
+        for u, ids in enumerate(self._index):
+            tails: Set[int] = set()
+            for j in ids:
+                f = self.facets[j]
+                tails.update(f[bisect_left(f, u) + 1:])
+            count += len(tails)
+        return count
 
     def faces_of_dim(self, dim: int) -> List[Face]:
         """Every face of one dimension, each once, in lex order, listed once and kept.

@@ -3,9 +3,11 @@
 Vectors are Python ints (bit i = coordinate i), and a matrix is its list of
 columns, so adding one column to another is one big-int XOR. Rank is
 incremental: vectors are reduced one at a time against a pivot basis keyed
-by leading bit. Brute-force Betti numbers reduce ∂₁ this way, since its
-columns have one bit per vertex. Every boundary above it, up to the one
-whose faces are never listed, is ranked through its transpose, the
+by leading bit. Brute-force Betti numbers read dims 0-1 off the 1-skeleton
+as a graph: rank ∂₁ is f₀ minus its components, counted by union-find, and
+the edges that join two components are ∂₁'s pivots. Edges are counted, not
+listed, unless their coboundary is reduced. Every boundary above ∂₁, up to
+the one whose faces are never listed, is ranked through its transpose, the
 coboundary, one level at a time: faces paired one level down are skipped,
 the pivots found are the faces the next level skips. A column's pivot is
 read off its face's least cofacet vertex, and the column itself is built,
@@ -104,6 +106,30 @@ def _independent(vectors: Iterable[int]) -> Iterator[int]:
             v ^= p
 
 
+def _joins(edges: Iterable[Sequence[int]]) -> Iterator[int]:
+    """Indices of the edges (a, b) that join two components of the edges before them.
+
+    These are the edges whose ∂₁ columns `_independent` keeps, taken in the
+    same order: greedy on the graphic matroid, a column is independent of
+    those before it exactly when its edge closes no cycle. Components are
+    kept by union-find with path halving; a vertex not yet met is a root.
+    """
+    parent: Dict[int, int] = {}
+
+    def root(x: int) -> int:
+        while True:
+            p = parent.get(x, x)
+            if p == x:
+                return x
+            parent[x] = x = parent.get(p, p)
+
+    for j, (a, b) in enumerate(edges):
+        ra, rb = root(a), root(b)
+        if ra != rb:
+            parent[ra] = rb
+            yield j
+
+
 def rank_of_bitsets(vectors: Iterable[int]) -> int:
     """Rank of the span of the given vectors, consumed one at a time."""
     return sum(1 for _ in _independent(vectors))
@@ -144,18 +170,25 @@ def betti_bounded(C: Complex, maxdim: int, max_faces: int = DEFAULT_MAX_FACES) -
     """Brute-force Z2 Betti numbers of dimensions 0..maxdim.
 
     The verified dimension v is the largest d <= maxdim whose face estimates
-    for dimensions 0..d+1 fit the budget. Faces of dimensions 0..v are
-    listed. ∂₁, whose columns have one bit per vertex, is reduced densely in
-    lex order. Every boundary above it, up to ∂_{v+1} whose faces are never
-    listed, is ranked through its transpose (`_reduce_coboundary`), one level
-    at a time: each level skips the faces paired one level below, and its
-    pivots are the faces the next level skips. ∂_{v+1} is ranked from facet
-    cones instead (`_cone_rank`) when their count G_v (a facet F gives
-    C(|F| - 1, v + 1)) is at most f_v + rank ∂_v: the f_v faces of
-    dimension v, plus the rank ∂_v of those the coboundary route skips.
-    Neither route lists a face of dimension v + 1. Dimensions above `C.dim`
-    cost nothing and have Betti number 0, but a maxdim above the budget
-    itself is refused.
+    for dimensions 0..d+1 fit the budget. Dims 0-1 are read off the
+    1-skeleton as a graph: f₀ is the number of vertices in some facet, and
+    rank ∂₁ = f₀ - #components is the number of union-find joins (`_joins`),
+    also at v = 0, where ∂₁ is the top. Edges are listed only where their
+    coboundary is reduced (from v = 2 up, or at v = 1 on the coboundary
+    route); they are joined in lex order there, and the joining edges, the
+    pivots a lex-order reduction of ∂₁ finds, are the faces level 1 skips.
+    Elsewhere each facet's vertices are joined to its first, and f₁ is
+    counted (`Complex.edge_count`). Vertices are never listed; faces of
+    dimensions 2..v always are. Every boundary above ∂₁, up to ∂_{v+1} whose
+    faces are never listed, is ranked through its transpose
+    (`_reduce_coboundary`), one level at a time: each level skips the faces
+    paired one level below, and its pivots are the faces the next level
+    skips. ∂_{v+1} is ranked from facet cones instead (`_cone_rank`) when
+    their count G_v (a facet F gives C(|F| - 1, v + 1)) is at most
+    f_v + rank ∂_v: the f_v faces of dimension v, plus the rank ∂_v of those
+    the coboundary route skips. Neither route lists a face of dimension
+    v + 1. Dimensions above `C.dim` cost nothing and have Betti number 0,
+    but a maxdim above the budget itself is refused.
     """
     if maxdim < 0:
         raise InvalidArgumentError("maxdim must be nonnegative")
@@ -173,33 +206,36 @@ def betti_bounded(C: Complex, maxdim: int, max_faces: int = DEFAULT_MAX_FACES) -
     if v > max_faces:  # then v = maxdim > C.dim: a table of zeros longer than the budget
         raise ResourceLimitError(
             f"max dim {maxdim} is over the face budget {max_faces}")
-    # dims 0..v fit the budget (checked above), so the listing needs no check of its own
-    levels = [C.faces_of_dim(d) for d in range(min(v, top) + 1)]
-    ranks = [0] * (len(levels) + 1)
-    base = C.vertex_count
+    dims = min(v, top) + 1  # the dimensions 0..v that have faces
+    # the last level whose coboundary is ranked: the top only if the dimension above has faces
+    last = dims - 1 if v <= top and spent[v + 1] > spent[v] else dims - 2
+    # dims 0..v fit the budget (checked above): counting and listing need no check of their own
+    sizes = [len(set().union(*C.facets))]  # sizes[d] = f_d
+    ranks = [0] * (dims + 2)  # ranks[d] = rank ∂_d
+    if dims > 2:  # the edges' coboundary is reduced: they are listed, as are the levels above
+        sizes += [len(C.faces_of_dim(d)) for d in range(1, dims)]
+    else:  # rank ∂₁ = f₀ - #components, joining each facet's vertices to its first
+        ranks[1] = sum(1 for _ in _joins((F[0], x) for F in C.facets for x in F[1:]))
+        if dims == 2:
+            sizes.append(C.edge_count())
     paired: Set[int] = set()  # codes of level k's faces paired one level down
-    if len(levels) > 1:  # ∂₁ has one row per vertex, so its dense reduction is cheap
-        edges = levels[1]
-        paired = {edges[j][0] * base + edges[j][1]
-                  for j in _independent(1 << a | 1 << b for a, b in edges)}
-        ranks[1] = len(paired)
-    # ∂_{k+1} for each listed level k from 1 (from 0 if only vertices are listed);
-    # the last level's coboundary is ranked only if the dimension above has faces
-    streamed = v <= top and spent[v + 1] > spent[v]
-    last = len(levels) - 1 if streamed else len(levels) - 2
-    for k in range(min(1, len(levels) - 1), last + 1):
+    for k in range(1, last + 1):  # ∂_{k+1}
         # k is v only at the streamed top: cones there if G_v <= f_v + rank ∂_v
         if k == v and (sum(comb(len(F) - 1, v + 1) for F in C.facets)
-                       <= len(levels[v]) + ranks[v]):
+                       <= sizes[v] + ranks[v]):
             ranks[v + 1] = _cone_rank(C, v)
             break
-        pivots = _reduce_coboundary(C, levels[k], paired)
+        faces = C.faces_of_dim(k)
+        if k == 1:  # the edges that join two components, in lex order, are ∂₁'s pivots
+            paired = {faces[j][0] * C.vertex_count + faces[j][1] for j in _joins(faces)}
+            ranks[1] = len(paired)
+        pivots = _reduce_coboundary(C, faces, paired)
         ranks[k + 1] = len(pivots)
         if k < last:  # the next level's skip set; the top needs none
             paired = set(pivots)
 
-    betti = tuple(len(levels[k]) - ranks[k] - ranks[k + 1] for k in range(len(levels)))
-    return BettiTable(betti + (0,) * (v + 1 - len(betti)), "bruteforce", v)
+    betti = tuple(sizes[k] - ranks[k] - ranks[k + 1] for k in range(dims))
+    return BettiTable(betti + (0,) * (v + 1 - dims), "bruteforce", v)
 
 
 def _reduce_coboundary(C: Complex, faces: List[Face],

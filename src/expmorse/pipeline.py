@@ -437,8 +437,9 @@ def _check_delta_bruteforce(n: int) -> bool:
 # Face budget of the brute-force pass on the uncollapsed complex NC: it
 # verifies dims 0-8, 0-3, 0-1 and 0 at n = 3, 4, 5, 6, as does any budget in
 # [2,028,747, 2,503,444] (test_pipeline pins the face sums behind that).
-# NC(5)'s dims 0-1 cost about 0.1 s, with ∂₂ ranked from facet cones; a
-# budget reaching dim 2 there lists its 1.93M triangles.
+# NC(5)'s dims 0-1 list no face: f₀, f₁ and rank ∂₁ are counted (about 6 ms)
+# and ∂₂ is ranked from facet cones (about 40 ms); a budget reaching dim 2
+# there lists its 1.93M triangles.
 _NC_MAX_FACES = 2_250_000
 
 

@@ -6,10 +6,11 @@ import subprocess
 import sys
 import time
 from array import array
+from math import comb
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from expmorse import gf2, pipeline
@@ -256,7 +257,9 @@ def test_betti_bounded_streamed_top_with_clearing(C, top):
 
 def test_streamed_top_route_choice(monkeypatch):
     log = []  # each level betti_bounded ranks: ("cone", v) or ("coboundary", k)
+    listed = []  # each dimension faces_of_dim is asked for
     cone, coboundary = gf2._cone_rank, gf2._reduce_coboundary
+    faces_of_dim = Complex.faces_of_dim
 
     def logged_cone(C, v):
         log.append(("cone", v))
@@ -268,14 +271,20 @@ def test_streamed_top_route_choice(monkeypatch):
 
     monkeypatch.setattr(gf2, "_cone_rank", logged_cone)
     monkeypatch.setattr(gf2, "_reduce_coboundary", logged_coboundary)
-    # NC(5)'s ∂₂: 56,556 cones, against 56,175 edges of which 725 are skipped
+    monkeypatch.setattr(Complex, "faces_of_dim",
+                        lambda self, d: listed.append(d) or faces_of_dim(self, d))
+    # NC(5)'s ∂₂: 56,556 cones, against 56,175 edges (counted) plus rank ∂₁ = 725
+    # (the union-find joins of the facets' vertices), so no face is listed
     assert pipeline._nc_betti.__wrapped__(5).betti == (1, 1)
     assert log == [("cone", 1)]
-    # Δ(6) is ranked whole, so no dimension is streamed
+    assert listed == []
+    # Δ(6) is ranked whole, so no dimension is streamed; the edges' coboundary
+    # is reduced, so they are listed, as is every level above them
     del log[:]
     D = build_delta(6)
     assert betti_bounded(D, D.dim).betti == (1, 1, 10081, 0, 0, 1)
     assert log == [("coboundary", k) for k in range(1, D.dim)]
+    assert sorted(set(listed)) == [1, 2, 3, 4, 5]
     # nor are the neighborhood and Hom complexes of G(n, 1/2) on 5 and 6
     # vertices, as the benchmark's ad hoc queries take them
     rng, K2 = random.Random(12), complete_graph(2)
@@ -323,6 +332,69 @@ def test_cleared_coboundary_pairs_as_dense_reduction(facets):
         pivots = set(_reduce_coboundary(C, levels[k - 1], skip))
         assert pivots == dense_paired(k)
         skip = pivots
+
+
+@settings(max_examples=150)
+@given(st.lists(st.lists(st.integers(0, 8), min_size=1, max_size=7), min_size=1, max_size=8))
+def test_union_find_joins_are_the_dense_pivots_of_d1(facets):
+    # greedy on the graphic matroid: in lex order, the edges that join two
+    # components are the columns of ∂₁ independent of the columns before them
+    C = Complex([str(i) for i in range(9)], facets)
+    edges = C.faces_of_dim(1)
+    assert list(gf2._joins(edges)) == _independent_columns(boundary_matrix(C, 1).cols)
+
+
+@settings(max_examples=150)
+@given(st.lists(st.lists(st.integers(0, 13), min_size=1, max_size=9), min_size=1, max_size=12))
+def test_edge_count_is_the_number_of_edges(facets):
+    C = Complex([str(i) for i in range(14)], facets)
+    counted = C.edge_count()
+    assert not C._levels  # counted before any level is listed
+    assert counted == len(C.faces_of_dim(1))
+
+
+def _facet_lists(min_size, max_size, max_facets):
+    return st.lists(st.lists(st.integers(0, 8), min_size=min_size, max_size=max_size,
+                             unique=True), min_size=1, max_size=max_facets)
+
+
+# betti_bounded's cases for dims 0-1, each with facets and maxdims that reach it
+_D1_CASES = {
+    # the streamed top is ∂₁: rank ∂₁ is f₀ minus the components
+    "v0-streamed": (_facet_lists(2, 7, 8), st.just(0)),
+    # a graph: f₁ counted, no boundary above ∂₁
+    "dim-1": (st.tuples(_facet_lists(2, 2, 12), _facet_lists(1, 1, 3)).map(lambda t: t[0] + t[1]),
+              st.integers(1, 3)),
+    # ∂₂ ranked from facet cones: f₁ counted, no face listed
+    "v1-cones": (_facet_lists(3, 5, 4), st.just(1)),
+    # ∂₂ ranked through the edges' coboundary: edges listed and joined in lex order
+    "v1-coboundary": (_facet_lists(6, 7, 8), st.just(1)),
+    # levels 1..v listed, the edges' joins are their skip set
+    "v2-up": (_facet_lists(3, 7, 8), st.integers(2, 7)),
+}
+
+
+@pytest.mark.parametrize("case", list(_D1_CASES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_betti_bounded_on_each_d1_case(case, data):
+    facets, maxdims = _D1_CASES[case]
+    C = Complex([str(i) for i in range(9)], data.draw(facets))
+    maxdim = data.draw(maxdims)
+    betti = betti_bounded(C, maxdim).betti
+    listed = set(C._levels)  # the dimensions faces_of_dim has listed
+    dims = min(maxdim, C.dim) + 1
+    if dims == 2 and C.dim >= 2:
+        cones = (sum(comb(len(F) - 1, 2) for F in C.facets)
+                 <= len(C.faces_of_dim(1)) + rank_gf2(boundary_matrix(C, 1)))
+        reached = "v1-cones" if cones else "v1-coboundary"
+    else:
+        reached = {1: "v0-streamed" if C.dim >= 1 else None,
+                   2: "dim-1"}.get(dims, "v2-up")
+    assume(reached == case)
+    assert betti == _dense_betti(C, maxdim)
+    # vertices are never listed; edges only where their coboundary is reduced
+    assert listed == (set(range(1, dims)) if case in ("v1-coboundary", "v2-up") else set())
 
 
 def _reduces_as_heap_oracle(C, top):
@@ -439,13 +511,15 @@ def test_delta6_brute_force_memory():
 
 
 def test_nc5_brute_force_memory():
-    # NC(5)'s ∂₂ is ranked from facet cones and stores no reduced column: it
-    # keeps the first apex of each face only while the faces with its least
-    # vertex are taken, and pivots over the 4,329 star faces, at most one
-    # each. The rise is about 6 MB, most of it the listed edges. On the
-    # coboundary route it was 48 MB with collided columns kept as code lists,
-    # about 20 MB with only the 599 reduced columns kept, and about 11 MB
-    # with those columns in int64 arrays.
+    # NC(5)'s pass lists no face: f₀, f₁ and rank ∂₁ are counted, and ∂₂ is
+    # ranked from facet cones, storing no reduced column: it keeps the first
+    # apex of each face only while the faces with its least vertex are taken,
+    # and pivots over the 4,329 star faces, at most one each. The rise is
+    # about 1.8 MB, nearly all of it the cones; it was about 6 MB when the
+    # 56,175 edges were listed and ∂₁ reduced densely. On the coboundary
+    # route it was 48 MB with collided columns kept as code lists, about
+    # 20 MB with only the 599 reduced columns kept, and about 11 MB with
+    # those columns in int64 arrays.
     betti, rise_kb = _rss_rise("from expmorse.complexes import neighborhood_complex\n"
                                "from expmorse.gf2 import betti_bounded\n"
                                "from expmorse.graphs import fold_core_exponential\n"
@@ -453,13 +527,14 @@ def test_nc5_brute_force_memory():
                                "NC = neighborhood_complex(fold_core_exponential(6, 5))",
                                "betti_bounded(NC, NC.dim, max_faces=_NC_MAX_FACES).betti")
     assert betti == "(1, 1)"
-    assert rise_kb < 10 * 1024
+    assert rise_kb < 4 * 1024
 
 
 def test_reproduce_n5_memory():
-    # the NC(5) brute-force pass sets the peak of the paper's headline run:
-    # about 11 MB above the imports with ∂₂ ranked from facet cones, 16.5 MB
-    # on the coboundary route, 25.5 MB there with reduced columns as lists
+    # the paper's headline run rises about 7.4 MB above the imports now that
+    # the NC(5) brute-force pass lists no face; it rose 11 MB with NC's edges
+    # listed and ∂₂ ranked from facet cones, 16.5 MB on the coboundary
+    # route, 25.5 MB there with reduced columns as lists
     code, rise_kb = _rss_rise("import contextlib, io\n"
                               "from expmorse import cli\n"
                               "def run():\n"
@@ -467,7 +542,7 @@ def test_reproduce_n5_memory():
                               "        return cli.main(['reproduce', '--n', '5'])",
                               "run()")
     assert code == "0"
-    assert rise_kb < 16 * 1024
+    assert rise_kb < 10 * 1024
 
 
 def test_betti_of_chain_rejects_bad_chains():
