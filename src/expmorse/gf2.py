@@ -3,15 +3,18 @@
 Vectors are Python ints (bit i = coordinate i), and a matrix is its list of
 columns, so adding one column to another is one big-int XOR. Rank is
 incremental: vectors are reduced one at a time against a pivot basis keyed
-by leading bit. Brute-force Betti numbers read dims 0-1 off the 1-skeleton
-as a graph: rank ∂₁ is f₀ minus its components, counted by union-find, and
-the edges that join two components are ∂₁'s pivots. Edges are counted, not
-listed, unless their coboundary is reduced. Every boundary above ∂₁, up to
-the one whose faces are never listed, is ranked through its transpose, the
-coboundary, one level at a time: faces paired one level down are skipped,
-the pivots found are the faces the next level skips. A column's pivot is
-read off its face's least cofacet vertex, and the column itself is built,
-from the face's sorted cofacet vertices, only where two pivots collide.
+by leading bit. Brute-force Betti numbers are ranked on the complex's
+strong-collapse core (`Complex.strong_core`), which has the same homology;
+the dimensions they verify are read off the complex itself, before it
+shrinks. They read dims 0-1 off the 1-skeleton as a graph: rank ∂₁ is f₀
+minus its components, counted by union-find, and the edges that join two
+components are ∂₁'s pivots. Edges are counted, not listed, unless their
+coboundary is reduced. Every boundary above ∂₁, up to the one whose faces
+are never listed, is ranked through its transpose, the coboundary, one
+level at a time: faces paired one level down are skipped, the pivots
+found are the faces the next level skips. A column's pivot is read off its
+face's least cofacet vertex, and the column itself is built, from the
+face's sorted cofacet vertices, only where two pivots collide.
 There it is a sum of sorted runs of codes (its own cofaces and each column
 added to it), merged lazily: only the entries below the next pivot are
 read. A column that finds a fresh pivot is stored as the set XOR of the
@@ -170,7 +173,13 @@ def betti_bounded(C: Complex, maxdim: int, max_faces: int = DEFAULT_MAX_FACES) -
     """Brute-force Z2 Betti numbers of dimensions 0..maxdim.
 
     The verified dimension v is the largest d <= maxdim whose face estimates
-    for dimensions 0..d+1 fit the budget. Dims 0-1 are read off the
+    for dimensions 0..d+1 fit the budget; v and every refusal are read off C
+    as given. The ranks are then taken on C's strong-collapse core: removing
+    a dominated vertex, one whose facets all hold some other vertex u, is a
+    strong collapse, since the vertex's link is a cone on u, so the core is
+    homotopy equivalent to C and has C's Betti numbers. It has no more faces
+    than C in any dimension, so it fits the budget too; when no vertex is
+    dominated it is C itself. Below, C is that core. Dims 0-1 are read off the
     1-skeleton as a graph: f₀ is the number of vertices in some facet, and
     rank ∂₁ = f₀ - #components is the number of union-find joins (`_joins`),
     also at v = 0, where ∂₁ is the top. Edges are listed only where their
@@ -206,10 +215,15 @@ def betti_bounded(C: Complex, maxdim: int, max_faces: int = DEFAULT_MAX_FACES) -
     if v > max_faces:  # then v = maxdim > C.dim: a table of zeros longer than the budget
         raise ResourceLimitError(
             f"max dim {maxdim} is over the face budget {max_faces}")
-    dims = min(v, top) + 1  # the dimensions 0..v that have faces
+    return BettiTable(_ranked_betti(C.strong_core(), v), "bruteforce", v)
+
+
+def _ranked_betti(C: Complex, v: int) -> Tuple[int, ...]:
+    """Betti numbers of dims 0..v by rank, once `betti_bounded` has found v fits the budget."""
+    dims = min(v, C.dim) + 1  # the dimensions 0..v that have faces
     # the last level whose coboundary is ranked: the top only if the dimension above has faces
-    last = dims - 1 if v <= top and spent[v + 1] > spent[v] else dims - 2
-    # dims 0..v fit the budget (checked above): counting and listing need no check of their own
+    last = dims - 1 if C.dim > v else dims - 2
+    # dims 0..v fit the budget (betti_bounded checked): counting and listing need no check here
     sizes = [len(set().union(*C.facets))]  # sizes[d] = f_d
     ranks = [0] * (dims + 2)  # ranks[d] = rank ∂_d
     if dims > 2:  # the edges' coboundary is reduced: they are listed, as are the levels above
@@ -235,7 +249,7 @@ def betti_bounded(C: Complex, maxdim: int, max_faces: int = DEFAULT_MAX_FACES) -
             paired = set(pivots)
 
     betti = tuple(sizes[k] - ranks[k] - ranks[k + 1] for k in range(dims))
-    return BettiTable(betti + (0,) * (v + 1 - dims), "bruteforce", v)
+    return betti + (0,) * (v + 1 - dims)
 
 
 def _reduce_coboundary(C: Complex, faces: List[Face],

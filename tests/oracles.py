@@ -10,12 +10,14 @@ Hom complexes), whole boundary matrices, a coboundary reduction that sums
 colliding columns in one heap of codes, face-poset membership from one
 frozenset of all cells (and matching validation on it, with its own
 statement of a simplicial cover), the Hom face rule as a brute-force cover
-relation over all cells, a colour-marking DFS for cycles of a matching,
-descent values as fresh sets by plain recursion, an exhaustive path
-enumerator, and the path parity. The last four take a matching as a plain
-dict, lower cell -> upper cell, and a face rule: a function from a cell to
-the cells one dimension down that it covers, such as `_subfaces` for
-simplices or `hom_cover_rule(cells)` for Hom cells.
+relation over all cells, the dominated vertices and the induced
+subcomplexes of a facet list, read off every facet at once, a
+colour-marking DFS for cycles of a matching, descent values as fresh sets
+by plain recursion, an exhaustive path enumerator, and the path parity.
+The last four take a matching as a plain dict, lower cell -> upper cell,
+and a face rule: a function from a cell to the cells one dimension down
+that it covers, such as `_subfaces` for simplices or
+`hom_cover_rule(cells)` for Hom cells.
 """
 from __future__ import annotations
 
@@ -142,6 +144,18 @@ def all_facets_maximal(facets: Iterable[Iterable[int]]) -> Tuple[Face, ...]:
     """
     canon = {tuple(sorted(set(f))) for f in facets} - {()}
     return tuple(sorted(f for f in canon if not any(set(f) < set(g) for g in canon)))
+
+
+def dominated_vertices(facets: Iterable[Iterable[int]]) -> Set[int]:
+    """The vertices v such that the facets holding v all hold some other vertex too."""
+    sets = [set(f) for f in facets]
+    return {v for v in set().union(*sets)
+            if len(set.intersection(*(f for f in sets if v in f))) > 1}
+
+
+def induced_facets(facets: Iterable[Iterable[int]], keep: AbstractSet[int]) -> Tuple[Face, ...]:
+    """The facets of the full subcomplex on the vertices in `keep`, in lex order."""
+    return all_facets_maximal([v for v in f if v in keep] for f in facets)
 
 
 def cell_set(P: FacePoset) -> FrozenSet[Face]:

@@ -170,7 +170,8 @@ print(json.dumps([exits, sorted({{(c.co_filename[len(src) + 1:], c.co_firstlinen
 """
 
 # (argv, exit code): every command kind, each `compute` target, a graph file
-# with nested neighbourhoods, and the exit-2 and exit-3 paths.
+# with nested neighbourhoods (and a dominated vertex), and the exit-2 and
+# exit-3 paths.
 _REACH_COMMANDS = [
     (["reproduce", "--n", "3"], 0),
     (["reproduce", "--n", "3", "--format", "csv"], 0),
@@ -183,6 +184,7 @@ _REACH_COMMANDS = [
     (["compute", "exp-graph", "--g", "k2", "--h", "k3", "--format", "csv"], 0),
     (["compute", "fold", "--graph", "{graph}"], 0),
     (["compute", "ncomplex", "--graph", "{graph}"], 0),
+    (["compute", "homology", "--graph", "{graph}"], 0),
     (["compute", "ncomplex", "--graph", "c5", "--format", "csv"], 0),
     (["compute", "homology", "--exp", "3", "2", "--max-dim", "2"], 0),
     (["compute", "homology", "--graph", "c9", "--format", "csv"], 0),
@@ -198,7 +200,8 @@ _REACH_COMMANDS = [
 def test_every_function_is_entered_by_a_command_or_the_benchmark(tmp_path):
     # Edges a-b, b-c, c-d and b-d: N(a) = {b} lies inside N(c) = {b, d}, so
     # the neighborhood complex has a nested facet (`_facet_index`) and the
-    # graph has a fold.
+    # graph has a fold. The fold makes the vertex a dominated in the
+    # neighborhood complex, so `Complex.strong_core` removes it.
     graph = tmp_path / "nested.json"
     graph.write_text(json.dumps({"labels": ["a", "b", "c", "d"],
                                  "edges": [[0, 1], [1, 2], [2, 3], [1, 3]],

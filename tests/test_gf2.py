@@ -233,6 +233,42 @@ def test_betti_bounded_against_dense_ranks(facets, small_budget):
             _check_against_dense(C, maxdim, budget)
 
 
+@st.composite
+def shaped_complexes(draw):
+    """(shape, complex) on labels 0..8: a drawn base on 0..6, kept plain or reshaped.
+
+    A cone adds the apex 7 to every facet. A suspension holds each facet
+    twice, once with 7 and once with 8. Twins add 7, and maybe 8, to every
+    facet holding a drawn vertex of the base, so twin and original dominate
+    each other.
+    """
+    base = draw(st.lists(st.lists(st.integers(0, 6), min_size=1, max_size=5, unique=True),
+                         min_size=1, max_size=6))
+    shape = draw(st.sampled_from(("plain", "cone", "suspension", "twins")))
+    if shape == "cone":
+        facets = [f + [7] for f in base]
+    elif shape == "suspension":
+        facets = [f + [a] for f in base for a in (7, 8)]
+    elif shape == "twins":
+        used = sorted(set().union(*base))
+        twins = dict(zip((7, 8), draw(st.lists(st.sampled_from(used), min_size=1, max_size=2))))
+        facets = [f + [t for t, x in twins.items() if x in f] for f in base]
+    else:
+        facets = base
+    return shape, Complex([str(i) for i in range(9)], facets)
+
+
+@settings(max_examples=150)
+@given(shaped_complexes(), st.integers(1, 400))
+def test_betti_bounded_on_cones_suspensions_and_twins(shaped, small_budget):
+    # the core these collapse to has the input's homology, and the verified
+    # dimension and every refusal still come from the input's face estimates
+    _, C = shaped
+    for maxdim in range(C.dim + 2):
+        for budget in (DEFAULT_MAX_FACES, small_budget):
+            _check_against_dense(C, maxdim, budget)
+
+
 @pytest.mark.parametrize("C, top", [
     (Complex(list("abcdef"), [range(6)]), 5),                # a 5-simplex
     (Complex(list("abcdef"), [(0, 1, 2, 3, 4), (0, 1, 2, 5), (3, 4, 5)]), 4),
@@ -286,7 +322,8 @@ def test_streamed_top_route_choice(monkeypatch):
     assert log == [("coboundary", k) for k in range(1, D.dim)]
     assert sorted(set(listed)) == [1, 2, 3, 4, 5]
     # nor are the neighborhood and Hom complexes of G(n, 1/2) on 5 and 6
-    # vertices, as the benchmark's ad hoc queries take them
+    # vertices, as the benchmark's ad hoc queries take them, nor their
+    # strong-collapse cores, which betti_bounded ranks in their place
     rng, K2 = random.Random(12), complete_graph(2)
     for nv in (5, 6) * 10:
         pairs = [(a, b) for a in range(nv) for b in range(a + 1, nv)]
@@ -295,6 +332,9 @@ def test_streamed_top_route_choice(monkeypatch):
             del log[:]
             top = betti_bounded(C, max(C.dim, 0)).max_verified_dim
             assert top == max(C.dim, 0)
+            assert log == [("coboundary", k) for k in range(1, C.strong_core().dim)]
+            del log[:]
+            gf2._ranked_betti(C, top)
             assert log == [("coboundary", k) for k in range(1, top)]
 
 
@@ -358,7 +398,7 @@ def _facet_lists(min_size, max_size, max_facets):
                              unique=True), min_size=1, max_size=max_facets)
 
 
-# betti_bounded's cases for dims 0-1, each with facets and maxdims that reach it
+# the rank step's cases for dims 0-1, each with facets and maxdims that reach it
 _D1_CASES = {
     # the streamed top is ∂₁: rank ∂₁ is f₀ minus the components
     "v0-streamed": (_facet_lists(2, 7, 8), st.just(0)),
@@ -381,8 +421,11 @@ def test_betti_bounded_on_each_d1_case(case, data):
     facets, maxdims = _D1_CASES[case]
     C = Complex([str(i) for i in range(9)], data.draw(facets))
     maxdim = data.draw(maxdims)
-    betti = betti_bounded(C, maxdim).betti
+    # the rank step on C itself: betti_bounded would rank C's strong-collapse
+    # core, and many of these inputs collapse to a point
+    betti = gf2._ranked_betti(C, maxdim)
     listed = set(C._levels)  # the dimensions faces_of_dim has listed
+    assert betti_bounded(C, maxdim).betti == betti
     dims = min(maxdim, C.dim) + 1
     if dims == 2 and C.dim >= 2:
         cones = (sum(comb(len(F) - 1, 2) for F in C.facets)
