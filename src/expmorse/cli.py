@@ -23,7 +23,7 @@ from .gf2 import BettiTable, betti_bounded
 from .graphs import (Graph, complete_graph, cycle_graph, exponential_graph,
                      fold_core_exponential, fold_reduce, graph_from_json,
                      graph_to_json)
-from .homc import enumerate_hom_cells, order_complex_of_hom
+from .homc import HomPoset, enumerate_hom_cells, order_complex_of_hom
 from .pipeline import (LEMMA_KEYS, SIZED_N, corollary1_report, theorem1_report,
                        verify_lemma)
 
@@ -131,17 +131,20 @@ def cmd_compute(args: argparse.Namespace) -> int:
         _emit(args, NC, _complex_csv, complex_to_json)
     else:
         # homology and hom: Betti numbers up to --max-dim (default: the
-        # complex's dimension) under --max-faces.
+        # dimension of the complex, or of the Hom cells, whose order complex
+        # is taken of the poset's core) under --max-faces.
         if args.max_faces < 1:
             raise InvalidArgumentError("--max-faces must be positive")
         if args.max_dim is not None and args.max_dim < 0:
             raise InvalidArgumentError("--max-dim must be nonnegative")
         if args.what == "homology":
             C = neighborhood_complex(_graph_from(args))
+            top = C.dim
         else:
             cells = enumerate_hom_cells(_atom(args.g), _atom(args.h))
             C = order_complex_of_hom(cells, max_faces=args.max_faces)
-        maxdim = args.max_dim if args.max_dim is not None else max(C.dim, 0)
+            top = max(map(HomPoset.dim_of, cells), default=0)
+        maxdim = args.max_dim if args.max_dim is not None else max(top, 0)
         bt = betti_bounded(C, maxdim, max_faces=args.max_faces)
         _emit(args, bt, _betti_csv, BettiTable.to_json_dict)
     return EXIT_OK

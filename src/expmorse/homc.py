@@ -8,7 +8,10 @@ relation is componentwise inclusion; a face one dimension down clears one
 bit of one mask that has two or more. `HomPoset` is that face rule on the
 Morse engine's `FacePoset`, so matchings on Hom cells run through
 `morse.DescentCache` unchanged. Taking the order complex of this poset
-gives a simplicial model whose homology is the standard one.
+gives a simplicial model whose homology is the standard one;
+`order_complex_of_hom` takes it of the poset's core, what is left once
+beat points are removed, which has the same homotopy type and often far
+fewer chains.
 """
 from __future__ import annotations
 
@@ -116,56 +119,98 @@ def hom_poset(cells: Sequence[Cell]) -> HomPoset:
     return HomPoset([sorted(level) for level in levels])
 
 
+def _inside(a: Cell, b: Cell) -> bool:
+    """Whether cell a is a face of cell b: each mask of a within b's."""
+    return all(s & t == s for s, t in zip(a, b))
+
+
 def order_complex_of_hom(cells: Sequence[Cell],
                          max_faces: int = DEFAULT_MAX_FACES) -> Complex:
-    """Order complex of a hom cell poset.
+    """Order complex of the core of a hom cell poset.
 
-    Vertices are the cells, in the given order, labelled by their sets
-    ("0|1 2": vertex 0 of H for the first vertex of G, 1 and 2 for the
-    second); facets are the maximal chains under componentwise inclusion.
-    A face of a cell that is not in `cells` is skipped. Raises
-    ResourceLimitError, before listing any chain, when the maximal chains
+    The poset's covers are the faces `HomPoset.facets` lists; a face of a
+    cell that is not in `cells` is skipped. Its beat points go first: a
+    cell covered by exactly one cell, or covering exactly one. Removing one
+    is a strong deformation retract of the poset (Stong, 1966) and a strong
+    collapse of its order complex (Barmak & Minian, 2012), so the result
+    has the homotopy type of the whole order complex, and a poset without
+    beat points comes back whole. Vertices are the kept cells, in the given
+    order, labelled by their sets ("0|1 2": vertex 0 of H for the first
+    vertex of G, 1 and 2 for the second); facets are their maximal chains.
+    Raises ResourceLimitError, before listing any chain, when those chains
     hold more than `max_faces` vertices in total; that total is the first
     face count `betti_bounded` checks, so nothing it would accept is refused.
     """
     P = hom_poset(cells)
     index = {c: i for i, c in enumerate(cells)}
-    parents: List[List[int]] = [[] for _ in cells]
-    minimal = []
+    ups: List[List[int]] = [[] for _ in cells]
+    downs: List[List[int]] = [[] for _ in cells]
     for i, c in enumerate(cells):
-        faces = 0
         for f in P.facets(c):
             j = index.get(f)
             if j is not None:
-                parents[j].append(i)
-                faces += 1
-        if not faces:
-            minimal.append(i)
-    # Chains up from each cell and the vertices they hold. A parent has one
-    # dimension more than its child, so the levels are walked top down.
+                ups[j].append(i)
+                downs[i].append(j)
+    kept = [True] * len(cells)
+    todo = list(range(len(cells)))
+    while todo:
+        x = todo.pop()
+        if not kept[x]:
+            continue
+        # x is covered by one cell y, or covers one: then near[x] == [y]. Each
+        # cover z of x on the far side takes y in x's place among its near
+        # covers, unless one of them already lies between z and y; only y
+        # and those z have new covers to test.
+        if len(ups[x]) == 1:
+            near, far, rising = ups, downs, True
+        elif len(downs[x]) == 1:
+            near, far, rising = downs, ups, False
+        else:
+            continue
+        kept[x] = False
+        y = near[x][0]
+        far[y].remove(x)
+        for z in far[x]:
+            near[z].remove(x)
+            if not any(_inside(cells[w], cells[y]) if rising else _inside(cells[y], cells[w])
+                       for w in near[z]):
+                near[z].append(y)
+                far[y].append(z)
+            todo.append(z)
+        todo.append(y)
+        ups[x] = downs[x] = []
+    # Chains up from each kept cell and the vertices they hold. An upper
+    # cover has a higher dimension, so the levels are walked top down.
     chains = [0] * len(cells)
     held = [0] * len(cells)
+    minimal = []
     for i in (index[c] for d in range(P.dim, -1, -1) for c in P.cells(d)):
-        ups = parents[i]
-        chains[i] = sum(chains[j] for j in ups) if ups else 1
-        held[i] = chains[i] + sum(held[j] for j in ups)
+        if kept[i]:
+            above = ups[i]
+            chains[i] = sum(chains[j] for j in above) if above else 1
+            held[i] = chains[i] + sum(held[j] for j in above)
+            if not downs[i]:
+                minimal.append(i)
     if sum(held[i] for i in minimal) > max_faces:
         raise ResourceLimitError(
             f"maximal chains of the hom poset hold over {max_faces} vertices")
+    del P, index, downs, chains, held
+    keep = [i for i in range(len(cells)) if kept[i]]
+    ids = {i: k for k, i in enumerate(keep)}
+    ups = [[ids[j] for j in ups[i]] for i in keep]
+    labels = ["|".join(" ".join(map(str, _bits(s))) for s in cells[i]) for i in keep]
     facets: List[Tuple[int, ...]] = []
     chain: List[int] = []
 
     def extend(i: int):
         chain.append(i)
-        ups = parents[i]
-        if not ups:
+        if not ups[i]:
             facets.append(tuple(chain))
-        else:
-            for j in ups:
-                extend(j)
+        for j in ups[i]:
+            extend(j)
         chain.pop()
 
     for i in minimal:
-        extend(i)
-    labels = ["|".join(" ".join(map(str, _bits(s))) for s in c) for c in cells]
+        extend(ids[i])
+    del ups
     return Complex(labels, facets)

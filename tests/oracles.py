@@ -6,7 +6,8 @@ per-vertex facet bitmasks with the elementary free-face collapse, the
 maximality filter that checks each facet against every other, the NC to
 Delta collapse as elementary steps, the first fold of a graph by a scan of
 all vertex pairs, the categorical product of two graphs (test inputs for
-Hom complexes), whole boundary matrices, a coboundary reduction that sums
+Hom complexes), the order complex of a whole Hom cell poset by listing
+every maximal chain, whole boundary matrices, a coboundary reduction that sums
 colliding columns in one heap of codes, face-poset membership from one
 frozenset of all cells (and matching validation on it, with its own
 statement of a simplicial cover), the Hom face rule as a brute-force cover
@@ -29,6 +30,7 @@ from expmorse.complexes import Complex, Face, _core_index
 from expmorse.errors import InvalidArgumentError, PreconditionError, ResourceLimitError
 from expmorse.gf2 import Gf2Matrix
 from expmorse.graphs import Graph, _bits, missing_value, variant
+from expmorse.homc import HomPoset
 from expmorse.morse import AcyclicityResult, FacePoset
 
 FaceRule = Callable[[Face], List[Face]]
@@ -194,6 +196,37 @@ def hom_cover_rule(cells: Sequence[Face]) -> FaceRule:
     below = {c: [b for b in cells if weight[b] == weight[c] - 1 and len(b) == len(c)
                  and all(x & y == x for x, y in zip(b, c))] for c in cells}
     return below.__getitem__
+
+
+def hom_order_complex(cells: Sequence[Face]) -> Complex:
+    """Order complex of the whole hom cell poset: every maximal chain, no cell removed.
+
+    A cell's upper covers are the cells of `cells` that have it among their
+    `HomPoset.facets`; a chain starts at each cell with no face in `cells`
+    and is extended by every upper cover until none is left. Vertices and
+    labels are `order_complex_of_hom`'s, before any beat point is removed.
+    """
+    index = {c: i for i, c in enumerate(cells)}
+    parents: List[List[int]] = [[] for _ in cells]
+    minimal = []
+    for i, c in enumerate(cells):
+        faces = [index[f] for f in HomPoset.facets(c) if f in index]
+        for j in faces:
+            parents[j].append(i)
+        if not faces:
+            minimal.append(i)
+    facets: List[Face] = []
+
+    def extend(chain: List[int]) -> None:
+        if not parents[chain[-1]]:
+            facets.append(tuple(chain))
+        for j in parents[chain[-1]]:
+            extend(chain + [j])
+
+    for i in minimal:
+        extend([i])
+    labels = ["|".join(" ".join(map(str, _bits(s))) for s in c) for c in cells]
+    return Complex(labels, facets)
 
 
 def _free_family_steps(zs: Sequence[int], xs: Sequence[int],

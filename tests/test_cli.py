@@ -228,6 +228,12 @@ def test_hom_of_edge_times_clique_through_the_command(tmp_path):
     proc = _child("compute", "hom", "--g", str(tmp_path / "k2xk4.json"), "--h", "k3")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["betti"] == [1, 1, 0, 0, 0]
+    # 1,572 cells of dimension up to 5; the core's order complex is a
+    # 12-cycle, but the Betti numbers still run to the cells' dimension
+    proc = _child("compute", "hom", "--g", str(tmp_path / "k2xk5.json"), "--h", "k3")
+    assert proc.returncode == 0
+    assert proc.stdout == ('{\n  "method": "bruteforce",\n  "betti": [\n    1,\n    1,\n'
+                           '    0,\n    0,\n    0,\n    0\n  ],\n  "max_verified_dim": 5\n}\n')
     proc = _child("compute", "hom", "--g", str(tmp_path / "k2xk5.json"), "--h", "k4")
     assert proc.returncode == 3
     assert proc.stdout == ""

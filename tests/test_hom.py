@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 import time
 
 import pytest
@@ -13,8 +14,8 @@ from expmorse.errors import ResourceLimitError
 from expmorse.gf2 import betti_bounded
 from expmorse.graphs import (Graph, _bits, complete_graph, cycle_graph,
                              fold_core_exponential)
-from expmorse.homc import enumerate_hom_cells, hom_poset, order_complex_of_hom
-from oracles import categorical_product, hom_cover_rule
+from expmorse.homc import HomPoset, enumerate_hom_cells, hom_poset, order_complex_of_hom
+from oracles import categorical_product, hom_cover_rule, hom_order_complex
 
 
 def _brute_hom_cells(G: Graph, H: Graph):
@@ -83,13 +84,15 @@ def _label(cell) -> str:
     return "|".join(" ".join(map(str, s)) for s in cell)
 
 
+def _below(a, b) -> bool:
+    """Whether cell a lies strictly below cell b (cells as vertex tuples)."""
+    return a != b and all(set(x) <= set(y) for x, y in zip(a, b))
+
+
 def _brute_maximal_chains(cells):
     """Maximal chains of the cells under componentwise inclusion, each a set of cells."""
-    def below(a, b):
-        return a != b and all(set(x) <= set(y) for x, y in zip(a, b))
-
-    ups = {a: [b for b in cells if below(a, b)] for a in cells}
-    covers = {a: [b for b in ups[a] if not any(below(c, b) for c in ups[a])]
+    ups = {a: [b for b in cells if _below(a, b)] for a in cells}
+    covers = {a: [b for b in ups[a] if not any(_below(c, b) for c in ups[a])]
               for a in cells}
     chains = []
 
@@ -100,9 +103,33 @@ def _brute_maximal_chains(cells):
             extend(chain + [b])
 
     for a in cells:
-        if not any(below(c, a) for c in cells):
+        if not any(_below(c, a) for c in cells):
             extend([a])
     return chains
+
+
+def _brute_core(cells):
+    """The cells left once beat points are removed one at a time, each found afresh.
+
+    A beat point has exactly one upper or exactly one lower cover among the
+    cells still left; covers are read off the strict order, as bitmasks over
+    positions in `cells`.
+    """
+    cells = list(cells)
+    n = len(cells)
+    above = [sum(1 << j for j in range(n) if _below(a, cells[j])) for a in cells]
+    below = [sum(1 << i for i in range(n) if above[i] >> j & 1) for j in range(n)]
+    live = (1 << n) - 1
+    while True:
+        for a in _bits(live):
+            up, down = above[a] & live, below[a] & live
+            ups = [b for b in _bits(up) if not up & below[b]]
+            downs = [b for b in _bits(down) if not down & above[b]]
+            if len(ups) == 1 or len(downs) == 1:
+                live ^= 1 << a
+                break
+        else:
+            return {cells[a] for a in _bits(live)}
 
 
 @st.composite
@@ -130,18 +157,50 @@ def test_hom_facets_against_brute_force_cover(G, H):
         assert all(P.dim_of(f) == P.dim_of(c) - 1 for f in got)
 
 
+# Edges a-b, b-c, c-d, b-d: Hom(K2, G) has 20 cells and a 12-cell core.
+_NESTED = Graph.from_edges(["a", "b", "c", "d"], [(0, 1), (1, 2), (2, 3), (1, 3)])
+
+
 @settings(max_examples=60)
 @given(_graph(), _graph())
 @example(complete_graph(2), complete_graph(3))
+@example(complete_graph(2), _NESTED)
 def test_order_complex_matches_brute_force_chains(G, H):
+    # the order complex of the poset's core: the kept cells are a core of
+    # the whole poset (no beat point left, as many cells as any core), its
+    # facets are their maximal chains, and its homology is the whole order
+    # complex's
     cells = enumerate_hom_cells(G, H)
     assume(len(cells) <= 120)
     brute = _brute_hom_cells(G, H)
+    by_label = {_label(c): c for c in brute}
     OC = order_complex_of_hom(cells)
-    assert sorted(OC.labels) == sorted(map(_label, brute))
+    assert len(set(OC.labels)) == len(OC.labels) and set(OC.labels) <= set(by_label)
+    kept = [by_label[lab] for lab in OC.labels]
     got = {frozenset(OC.labels[v] for v in f) for f in OC.facets}
-    want = {frozenset(map(_label, chain)) for chain in _brute_maximal_chains(brute)}
+    want = {frozenset(map(_label, chain)) for chain in _brute_maximal_chains(kept)}
     assert got == want
+    assert _brute_core(kept) == set(kept)
+    assert len(kept) == len(_brute_core(brute))
+    full = hom_order_complex(cells)
+    top = max(full.dim, 0)
+    assert betti_bounded(OC, top) == betti_bounded(full, top)
+
+
+def test_hom_core_has_every_dimension_of_the_whole_poset():
+    # The benchmark compares NC(G) with Hom(K2, G) up to the lower verified
+    # dimension, which the core's order complex lowers; above its dimension
+    # NC and the whole order complex must have nothing either.
+    rng, K2 = random.Random(29), complete_graph(2)
+    for nv in (5, 6) * 20:
+        pairs = [(a, b) for a in range(nv) for b in range(a + 1, nv)]
+        g = Graph.from_edges([str(v) for v in range(nv)], [e for e in pairs if rng.random() < 0.5])
+        cells = enumerate_hom_cells(K2, g)
+        top = max(map(HomPoset.dim_of, cells), default=0)
+        core = betti_bounded(order_complex_of_hom(cells), top)
+        assert core.max_verified_dim == top
+        assert core == betti_bounded(neighborhood_complex(g), top)
+        assert core == betti_bounded(hom_order_complex(cells), top)
 
 
 @pytest.mark.parametrize("b,want", [(3, (1, 1)), (4, (1, 0, 1))])
