@@ -9,7 +9,9 @@ collapses all ask it that way. Nothing else is kept per
 facet: the cofacet vertices of a face are read off the facets that hold it,
 as a sorted list, and the least of them from one scan of each such facet.
 The faces of each dimension are listed once, when first asked for, and kept;
-edges can also be counted without listing them, one vertex at a time.
+a face of a facet's own size is that facet's tuple, so each maximal face is
+held once. Edges can also be counted without listing them, one vertex at a
+time.
 
 A vertex is dominated when some other vertex is in every facet holding it,
 that is, when its set of facet ids lies inside another vertex's set.
@@ -97,10 +99,18 @@ def _dominated(facets: Union[Sequence[Face], Dict[int, Face]],
 
 
 def _faces_of_dim(facets: Sequence[Face], dim: int) -> List[Face]:
-    """The sorted set of the (dim + 1)-subsets of the facets."""
+    """The sorted set of the (dim + 1)-subsets of the facets.
+
+    A facet of exactly dim + 1 vertices is listed as itself, the same tuple
+    object, not rebuilt: no other facet holds it, so no equal subset competes.
+    """
+    size = dim + 1
     faces: Set[Face] = set()
     for facet in facets:
-        faces.update(itertools.combinations(facet, dim + 1))
+        if len(facet) == size:
+            faces.add(facet)
+        else:
+            faces.update(itertools.combinations(facet, size))
     return sorted(faces)
 
 

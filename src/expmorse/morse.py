@@ -66,14 +66,21 @@ class FacePoset:
         """The cells one dimension down that `cell` covers."""
         return [cell[:t] + cell[t + 1:] for t in range(len(cell))]
 
-    def __contains__(self, cell: Face) -> bool:
-        """Whether `cell` sits in its dimension's sorted level, found by bisection."""
+    def lookup(self, cell: Face) -> Optional[Face]:
+        """The stored cell equal to `cell`, found by bisecting its dimension's sorted level.
+
+        None when there is none. A caller that keeps the result holds the
+        poset's own object, not a second copy of the cell.
+        """
         d = self.dim_of(cell)
         if not 0 <= d < len(self.cells_by_dim):
-            return False
+            return None
         level = self.cells_by_dim[d]
         i = bisect_left(level, cell)
-        return i < len(level) and level[i] == cell
+        return level[i] if i < len(level) and level[i] == cell else None
+
+    def __contains__(self, cell: Face) -> bool:
+        return self.lookup(cell) is not None
 
     def cells(self, d: int) -> Sequence[Face]:
         return self.cells_by_dim[d] if 0 <= d <= self.dim else ()

@@ -71,6 +71,12 @@ def build_matching_mu(n: int) -> Dict[Face, Face]:
     the differing position; {f,<x>} with x outside the image goes up through
     the position carrying 1; {f,<y>} with y in the image (1 not covered)
     goes up to <2>. The cells {f,<2>} with image avoiding 1 stay unmatched.
+
+    Every key and value is the poset's own stored cell, not a copy. In each
+    level the cells holding <1> (id 0) are the lex-first block, and their
+    ends past <1> come in lex order, so one forward walk of the level below
+    finds each stored lower cell; stage two takes its targets from the
+    bisection that checks they are cells.
     """
     if n < 3:
         raise InvalidArgumentError("the collapsed model needs n >= 3")
@@ -79,10 +85,15 @@ def build_matching_mu(n: int) -> Dict[Face, Face]:
     pairs: Dict[Face, Face] = {}
     used: Set[Face] = set()
     for d in range(1, P.dim + 1):
+        lows, i = P.cells(d - 1), 0
         for up in P.cells(d):
-            if up[0] == 0:  # up contains <1>, so up minus <1> is the cell it extends
-                pairs[up[1:]] = up
-                used.add(up)
+            if up[0] != 0:
+                break  # past the cells holding <1>
+            low = up[1:]  # the cell that up extends by <1>
+            while lows[i] != low:
+                i += 1
+            pairs[lows[i]] = up
+            used.add(up)
 
     for c in P.cells(1):
         if c in pairs or c[0] == 0:
@@ -115,8 +126,10 @@ def build_matching_mu(n: int) -> Dict[Face, Face]:
                 up = tuple(sorted((j, i, 1)))
             else:
                 continue  # {f,<2>} with 1 outside the image stays critical
-        if up not in P:
+        cell = P.lookup(up)
+        if cell is None:
             raise InternalConsistencyError(f"pair target {up} is not a cell")
+        up = cell
         if up in used:
             raise InternalConsistencyError(f"pair target {up} claimed twice")
         pairs[c] = up
@@ -151,7 +164,6 @@ def _facet_counts(n: int) -> Tuple[Tuple[str, int], ...]:
     return _delta_build(n)[1]
 
 
-@lru_cache(maxsize=None)
 def closed_form_critical(n: int) -> CriticalSet:
     """Critical cells written out directly from their defining conditions.
 
@@ -159,6 +171,9 @@ def closed_form_critical(n: int) -> CriticalSet:
     values 2..n+1. Dimension 2: {f, f_i, <x>} where f covers 1 at position
     k, misses x, i != k and x < f(i). The all-constants cell {<2>,..,<n+1>}
     has dimension n-1, which coincides with 2 when n = 3.
+
+    Built afresh on each call, not cached: the census compares it once, and
+    its cells are freed after that.
     """
     if n < 3:
         raise InvalidArgumentError("the collapsed model needs n >= 3")

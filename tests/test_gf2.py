@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import inspect
 import os
 import random
 import subprocess
@@ -523,13 +524,29 @@ def test_nc4_coboundary_runs_against_heap_oracle():
     assert _reduces_as_heap_oracle(NC, 3) == 95  # all of them in the ∂₂ pass
 
 
+def _vm_hwm_kb():
+    """This process's peak RSS (KB) since exec, from VmHWM; None where it cannot be read."""
+    try:
+        with open("/proc/self/status") as f:
+            return next((int(line.split()[1]) for line in f if line.startswith("VmHWM:")), None)
+    except OSError:
+        return None
+
+
 def _rss_rise(setup, call):
-    """Run `setup`, then print `call` and the ru_maxrss rise (KB) it caused, in a fresh process."""
-    pytest.importorskip("resource")
-    code = ("import resource\n" + setup + "\n"
-            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+    """Run `setup`, then print `call` and the peak RSS rise (KB) it caused, in a fresh process.
+
+    The peak is the child's own VmHWM, which starts afresh at exec. Its
+    ru_maxrss would not do: after exec it keeps the spawner's high-water
+    mark, so under a pytest process larger than the child's own peak every
+    rise read 0. Skipped where VmHWM cannot be read.
+    """
+    if _vm_hwm_kb() is None:
+        pytest.skip("VmHWM cannot be read from /proc/self/status")
+    code = (inspect.getsource(_vm_hwm_kb) + setup + "\n"
+            "before = _vm_hwm_kb()\n"
             f"print({call})\n"
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n")
+            "print(_vm_hwm_kb() - before)\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")) if p)
@@ -537,20 +554,22 @@ def _rss_rise(setup, call):
                           text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
     out, rise_kb = proc.stdout.splitlines()
-    return out, int(rise_kb)  # ru_maxrss counts KB on Linux
+    return out, int(rise_kb)
 
 
 def test_delta6_brute_force_memory():
     # the coboundary reductions keep a pivot per paired face, not a dense
     # basis: Δ(6)'s ∂₂ alone once kept 45,374 pivots of up to 50,421 bits.
     # Nor does the complex keep a V-bit vertex mask per facet: those cost
-    # another 20 MB here, and the rise is about 10 MB without them.
+    # another 20 MB here. The rise is about 3.4 MB now that the triangle
+    # level holds Δ's own facet tuples; it was 7.0 MB with 55,447 rebuilt
+    # copies of them.
     betti, rise_kb = _rss_rise("from expmorse.complexes import build_delta\n"
                                "from expmorse.gf2 import betti_bounded\n"
                                "C = build_delta(6)",
                                "betti_bounded(C, 5).betti")
     assert betti == "(1, 1, 10081, 0, 0, 1)"
-    assert rise_kb < 20 * 1024
+    assert rise_kb < 5 * 1024
 
 
 def test_nc5_brute_force_memory():
@@ -558,7 +577,7 @@ def test_nc5_brute_force_memory():
     # ranked from facet cones, storing no reduced column: it keeps the first
     # apex of each face only while the faces with its least vertex are taken,
     # and pivots over the 4,329 star faces, at most one each. The rise is
-    # about 1.8 MB, nearly all of it the cones; it was about 6 MB when the
+    # about 1.4 MB, nearly all of it the cones; it was about 6 MB when the
     # 56,175 edges were listed and ∂₁ reduced densely. On the coboundary
     # route it was 48 MB with collided columns kept as code lists, about
     # 20 MB with only the 599 reduced columns kept, and about 11 MB with
@@ -574,7 +593,7 @@ def test_nc5_brute_force_memory():
 
 
 def test_reproduce_n5_memory():
-    # the paper's headline run rises about 7.4 MB above the imports now that
+    # the paper's headline run rises about 6.1 MB above the imports now that
     # the NC(5) brute-force pass lists no face; it rose 11 MB with NC's edges
     # listed and ∂₂ ranked from facet cones, 16.5 MB on the coboundary
     # route, 25.5 MB there with reduced columns as lists

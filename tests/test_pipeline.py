@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from itertools import accumulate, islice
 
 import pytest
@@ -121,6 +122,23 @@ def test_report_shape_and_values(timed_report3):
     assert d["betti"] == [1, 1, 14]
     assert d["acyclic"] is True
     assert rep.ok
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_matching_holds_the_posets_own_cells(n):
+    # the matching copies no cell: each key and value is the object stored
+    # at its position in the face poset's level
+    P = delta_poset(n)
+
+    def stored(cell):
+        level = P.cells(len(cell) - 1)
+        return level[bisect_left(level, cell)]
+
+    pairs = build_matching_mu(n)
+    assert pairs
+    for low, up in pairs.items():
+        assert low is stored(low)
+        assert up is stored(up)
 
 
 def _clear_pipeline_caches():
@@ -249,10 +267,13 @@ def test_report_n6_morse_route():
 
 
 def test_report_n6_memory():
-    # One listing of Δ(6) per dimension, membership by bisecting those lists
-    # and shared descent values: the rise is about 50 MB, and was about 70 MB
-    # with a second listing, a frozenset of every cell and a new set per value.
+    # One listing of Δ(6) per dimension, membership by bisecting those lists,
+    # shared descent values, and each cell one tuple shared by Δ's facets,
+    # the face levels and the matching: the rise is about 40 MB. It was
+    # 47 MB with copied triangles, matching cells and a cached census, and
+    # about 70 MB with a second listing, a frozenset of every cell and a new
+    # set per value.
     betti, rise_kb = _rss_rise("from expmorse.pipeline import theorem1_report",
                                "theorem1_report(6, include_bruteforce=False).betti")
     assert betti == "(1, 1, 10081, 0, 0, 1)"
-    assert rise_kb < 60 * 1024
+    assert rise_kb < 44 * 1024

@@ -52,6 +52,17 @@ def test_faces_by_dim_matches_subset_enumeration():
 
 
 @settings(max_examples=200)
+@given(shaped_complexes())
+def test_a_face_of_a_facets_size_is_that_facet(shaped):
+    # each maximal face is held once: its level lists the facet's own tuple
+    _, C = shaped
+    stored = {f: f for f in C.facets}
+    listed = [face for d in range(C.dim + 1) for face in C.faces_of_dim(d) if face in stored]
+    assert len(listed) == len(C.facets)
+    assert all(face is stored[face] for face in listed)
+
+
+@settings(max_examples=200)
 @given(st.lists(st.lists(st.integers(0, 7), max_size=6), max_size=8), st.data())
 def test_maximality_against_all_facets_filter(facets, data):
     # unsorted facets with repeated vertices, repeated facets, and facets
