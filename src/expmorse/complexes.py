@@ -10,8 +10,11 @@ facet: the cofacet vertices of a face are read off the facets that hold it,
 as a sorted list, and the least of them from one scan of each such facet.
 The faces of each dimension are listed once, when first asked for, and kept;
 a face of a facet's own size is that facet's tuple, so each maximal face is
-held once. Edges can also be counted without listing them, one vertex at a
-time.
+held once. The vertex level is the sorted union of the facets, and a higher
+level reads only the facets at least its size. Edges can also be counted
+without listing them, one vertex at a time. The facets given are sorted as
+they come and deduplicated as adjacent equals, so a facet list that arrives
+sorted is sorted in one pass, and no hash set of all of them is built.
 
 A vertex is dominated when some other vertex is in every facet holding it,
 that is, when its set of facet ids lies inside another vertex's set.
@@ -103,14 +106,20 @@ def _faces_of_dim(facets: Sequence[Face], dim: int) -> List[Face]:
 
     A facet of exactly dim + 1 vertices is listed as itself, the same tuple
     object, not rebuilt: no other facet holds it, so no equal subset competes.
+    Dim 0 is the sorted union of the facets' vertices, one 1-tuple each; a
+    one-vertex facet is its own. Above dim 0, facets shorter than dim + 1
+    are skipped.
     """
+    if dim == 0:
+        own = {f[0]: f for f in facets if len(f) == 1}
+        return [own.get(v) or (v,) for v in sorted(set().union(*facets))]
     size = dim + 1
     faces: Set[Face] = set()
     for facet in facets:
-        if len(facet) == size:
-            faces.add(facet)
-        else:
+        if len(facet) > size:
             faces.update(itertools.combinations(facet, size))
+        elif len(facet) == size:
+            faces.add(facet)
     return sorted(faces)
 
 
@@ -122,15 +131,16 @@ class Complex:
     def __init__(self, labels: Sequence[str], facets: Iterable[Iterable[int]]):
         self.labels = tuple(labels)
         n = len(self.labels)
-        canon = set()
+        canon: List[Face] = []  # in input order: a sorted facet list sorts in one pass
         for f in facets:
             t = tuple(sorted(set(f)))
             if not t:
                 continue
             if t[0] < 0 or t[-1] >= n:
                 raise InvalidArgumentError(f"facet {t} has a vertex out of range")
-            canon.add(t)
-        ordered = sorted(canon)
+            canon.append(t)
+        canon.sort()
+        ordered = [t for t, _ in itertools.groupby(canon)]
         # A facet can lie only inside a strictly longer facet, so sizes go
         # longest first, and each size's kept facets join the index only once
         # that size is done: the longest are all kept, and any other facet is
@@ -397,14 +407,13 @@ def delta_facet_families(n: int) -> Dict[str, List[Face]]:
     for i in range(n + 1, len(verts)):
         f = verts[i]
         x = missing_value(f, n + 1)
-        for s in range(1, n + 1):
-            m1.append(tuple(sorted((i, index[variant(f, s, x)], x - 1))))
+        for s in range(n):  # f is injective and misses x, so each slice is a variant
+            j = index[f[:s] + (x,) + f[s + 1:]]
+            m1.append((x - 1, i, j) if i < j else (x - 1, j, i))
         if 1 in f:
-            for y in sorted(set(f) - {1}):
-                a1.append(tuple(sorted((0, y - 1, i))))
+            a1 += [(0, y - 1, i) for y in sorted(f) if y != 1]
         else:
-            for y in sorted(set(f) - {2}):
-                a2.append(tuple(sorted((1, y - 1, i))))
+            a2 += [(1, y - 1, i) for y in sorted(f) if y != 2]
     a3 = [tuple(sorted(c)) for c in itertools.combinations(range(n + 1), n)]
     return {"M1": sorted(m1), "A1": sorted(a1), "A2": sorted(a2), "A3": sorted(a3)}
 

@@ -9,7 +9,10 @@ cell -> upper cell, pairing a cell with a cofacet; acyclic matchings induce
 a chain complex on the critical cells whose boundary entries count
 alternating descent paths mod 2. A DescentCache holds the one memoized walk
 of a matching's descent relation: the acyclicity certificate, the boundary
-supports and the cells on alternating paths all read that one memo.
+supports and the cells on alternating paths all read that one memo. The
+memo keeps a value for each lower and critical cell the walk has met; an
+upper cell's value, always empty, is never stored, and only lower cells
+are expanded, each against its partner's lower and critical facets.
 """
 from __future__ import annotations
 
@@ -203,12 +206,21 @@ class DescentCache:
     empty set for every empty value, and a critical cell's own entry {c} for
     every value that is {c}.
 
-    The walk is iterative, so path length is not bounded by the recursion
-    limit: it keeps the path it is expanding as (cell, kids) frames and
-    descends into one missing kid at a time. Meeting a cell on that path
-    again closes a cycle, so the matching is cyclic; the
-    InternalConsistencyError raised then carries the alternating cycle
-    (lower, upper, ..., the first lower again) as its `cycle` attribute.
+    The memo holds each lower cell walked and each critical cell met, whose
+    {c} is made once. An upper cell is never a key: its value, the shared
+    empty set, is read off `upper`. `pairs` is asked first, so a cell on
+    both sides of an invalid matching is a lower cell.
+
+    Only a lower cell is expanded, and of its kids, the other facets of its
+    partner, it keeps the lower and critical cells: an upper kid adds
+    nothing to the XOR and is never cancelled. The walk is iterative, so
+    path length is not bounded by the recursion limit: a cell whose kids
+    are all in the memo is settled at once, and one with a kid missing
+    waits on the path as a (cell, kids) frame while the walk descends into
+    that kid. Meeting a cell on the path again closes a cycle, so the
+    matching is cyclic; the InternalConsistencyError raised then carries
+    the alternating cycle (lower, upper, ..., the first lower again) as its
+    `cycle` attribute.
     """
 
     def __init__(self, P: FacePoset, pairs: Dict[Face, Face]):
@@ -224,35 +236,56 @@ class DescentCache:
         self._cancelled: Set[Face] = set()  # productive cells with an empty set
 
     def sets(self, cell: Face) -> FrozenSet[Face]:
-        pairs, upper, memo, cancelled = self.pairs, self.upper, self._memo, self._cancelled
-        facets = self.poset.facets
-        path: List[Tuple[Face, List[Face]]] = []
-        depth: Dict[Face, int] = {}  # cell -> its frame on the path
-        x: Optional[Face] = cell
+        memo = self._memo
+        s = memo.get(cell)
+        if s is not None:
+            return s
+        pairs, upper = self.pairs, self.upper
+        if cell not in pairs:
+            if cell in upper:
+                return _EMPTY
+            s = memo[cell] = frozenset((cell,))
+            return s
+        cancelled, facets = self._cancelled, self.poset.facets
+        path: List[Tuple[Face, List[Face]]] = []  # the frames below top, each waiting on a kid
+        depth: Dict[Face, int] = {}  # lower cell -> its frame on the path
+        top: Face = cell  # a lower cell not in memo
+        kids: Optional[List[Face]] = None  # top's lower and critical kids, once listed
         while True:
-            if x is not None and x not in memo:
-                up = pairs.get(x)
-                if up is None:
-                    memo[x] = _EMPTY if x in upper else frozenset((x,))
-                elif x in depth:
-                    err = InternalConsistencyError(
-                        f"descent from {x} depends on itself; matching is cyclic")
-                    loop = [z for z, _ in path[depth[x]:]]
-                    err.cycle = tuple(c for z in loop for c in (z, pairs[z])) + (x,)
-                    raise err
+            if kids is None:
+                kids = []
+                for y in facets(pairs[top]):
+                    if y in pairs:
+                        if y != top:
+                            kids.append(y)
+                    elif y not in upper:
+                        if y not in memo:
+                            memo[y] = frozenset((y,))
+                        kids.append(y)
+            for x in kids:
+                if x not in memo:
+                    break
+            else:
+                if kids:
+                    memo[top] = s = _xor((memo[y] for y in kids), memo)
+                    if not s and any(memo[y] or y in cancelled for y in kids):
+                        cancelled.add(top)
                 else:
-                    depth[x] = len(path)
-                    path.append((x, [y for y in facets(up) if y != x]))
-            if not path:
-                return memo[cell]
-            top, kids = path[-1]
-            x = next((y for y in kids if y not in memo), None)
-            if x is None:
-                memo[top] = s = _xor((memo[y] for y in kids), memo)
-                if not s and any(memo[y] or y in cancelled for y in kids):
-                    cancelled.add(top)
+                    memo[top] = s = _EMPTY
+                if not path:
+                    return s
+                top, kids = path.pop()
                 del depth[top]
-                path.pop()
+                continue
+            depth[top] = len(path)
+            path.append((top, kids))
+            if x in depth:
+                err = InternalConsistencyError(
+                    f"descent from {x} depends on itself; matching is cyclic")
+                loop = [z for z, _ in path[depth[x]:]]
+                err.cycle = tuple(c for z in loop for c in (z, pairs[z])) + (x,)
+                raise err
+            top, kids = x, None
 
     def productive(self, cell: Face) -> bool:
         return bool(self.sets(cell)) or cell in self._cancelled

@@ -561,9 +561,10 @@ def test_delta6_brute_force_memory():
     # the coboundary reductions keep a pivot per paired face, not a dense
     # basis: Δ(6)'s ∂₂ alone once kept 45,374 pivots of up to 50,421 bits.
     # Nor does the complex keep a V-bit vertex mask per facet: those cost
-    # another 20 MB here. The rise is about 3.4 MB now that the triangle
-    # level holds Δ's own facet tuples; it was 7.0 MB with 55,447 rebuilt
-    # copies of them.
+    # another 20 MB here. The rise is about 4.7 MB: 3.4 MB when Δ's build
+    # peaked 1.5 MB higher before the pass began (a hash set of all its
+    # facets), with the same peak for the pass itself; it was 7.0 MB with
+    # 55,447 rebuilt copies of the triangles.
     betti, rise_kb = _rss_rise("from expmorse.complexes import build_delta\n"
                                "from expmorse.gf2 import betti_bounded\n"
                                "C = build_delta(6)",
@@ -577,11 +578,12 @@ def test_nc5_brute_force_memory():
     # ranked from facet cones, storing no reduced column: it keeps the first
     # apex of each face only while the faces with its least vertex are taken,
     # and pivots over the 4,329 star faces, at most one each. The rise is
-    # about 1.4 MB, nearly all of it the cones; it was about 6 MB when the
-    # 56,175 edges were listed and ∂₁ reduced densely. On the coboundary
-    # route it was 48 MB with collided columns kept as code lists, about
-    # 20 MB with only the 599 reduced columns kept, and about 11 MB with
-    # those columns in int64 arrays.
+    # about 1.4 MB, nearly all of it the cones, and the bound is a quarter
+    # above that plus 1 MB; it was about 6 MB when the 56,175 edges were
+    # listed and ∂₁ reduced densely. On the coboundary route it was 48 MB
+    # with collided columns kept as code lists, about 20 MB with only the
+    # 599 reduced columns kept, and about 11 MB with those columns in int64
+    # arrays.
     betti, rise_kb = _rss_rise("from expmorse.complexes import neighborhood_complex\n"
                                "from expmorse.gf2 import betti_bounded\n"
                                "from expmorse.graphs import fold_core_exponential\n"
@@ -589,14 +591,15 @@ def test_nc5_brute_force_memory():
                                "NC = neighborhood_complex(fold_core_exponential(6, 5))",
                                "betti_bounded(NC, NC.dim, max_faces=_NC_MAX_FACES).betti")
     assert betti == "(1, 1)"
-    assert rise_kb < 4 * 1024
+    assert rise_kb < 3 * 1024
 
 
 def test_reproduce_n5_memory():
-    # the paper's headline run rises about 6.1 MB above the imports now that
-    # the NC(5) brute-force pass lists no face; it rose 11 MB with NC's edges
-    # listed and ∂₂ ranked from facet cones, 16.5 MB on the coboundary
-    # route, 25.5 MB there with reduced columns as lists
+    # the paper's headline run rises about 6.3 MB above the imports now that
+    # the NC(5) brute-force pass lists no face, and the bound is a quarter
+    # above that plus 1 MB; it rose 11 MB with NC's edges listed and ∂₂
+    # ranked from facet cones, 16.5 MB on the coboundary route, 25.5 MB
+    # there with reduced columns as lists
     code, rise_kb = _rss_rise("import contextlib, io\n"
                               "from expmorse import cli\n"
                               "def run():\n"
@@ -604,7 +607,7 @@ def test_reproduce_n5_memory():
                               "        return cli.main(['reproduce', '--n', '5'])",
                               "run()")
     assert code == "0"
-    assert rise_kb < 10 * 1024
+    assert rise_kb < 9 * 1024
 
 
 def test_betti_of_chain_rejects_bad_chains():

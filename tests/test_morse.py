@@ -175,8 +175,45 @@ def test_cone_matching_collapses_to_a_point(base, relabel):
     assert betti_of_chain(morse_boundaries(crit, cache)).betti == (1,)
 
 
+def _check_memo_keys(cache: DescentCache) -> None:
+    """After the acyclicity walk the memo holds every lower cell, some critical ones, no upper one.
+
+    An upper cell's set is the shared empty set, answered without storing it.
+    """
+    assert is_acyclic(cache).acyclic
+    memo, pairs, upper = cache._memo, cache.pairs, cache.upper
+    assert all(cache.sets(up) is _EMPTY for up in upper)
+    assert set(pairs) <= set(memo)
+    assert all(c in pairs or (c not in upper and memo[c] == {c}) for c in memo)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_descent_memo_keeps_no_upper_cell_on_delta(n):
+    from expmorse.pipeline import build_matching_mu, delta_poset
+    _check_memo_keys(DescentCache(delta_poset(n), build_matching_mu(n)))
+
+
+def test_a_cell_on_both_sides_is_walked_as_lower():
+    # (0, 1) is the upper cell of (0,) and the lower cell of (0, 1, 2): pairs
+    # is asked before upper, so (0, 1) is expanded, both when asked itself
+    # and when met as a kid of (0, 1, 3) on the walk from (0, 3)
+    P = face_poset(Complex(list("abcd"), [(0, 1, 2), (0, 1, 3)]))
+    pairs = {(0,): (0, 1), (0, 1): (0, 1, 2), (0, 3): (0, 1, 3)}
+    assert validate_matching(P, pairs) == ["(0, 1) appears on both sides of the matching"]
+    fresh = FreshDescent(pairs, _subfaces)
+    for first in [(0, 3), (0, 1)]:
+        cache = DescentCache(P, pairs)
+        cache.sets(first)
+        assert cache._memo[(0, 1)] == {(0, 2), (1, 2)}
+        for c in [(0, 3), (0, 1), (0,)]:
+            assert cache.sets(c) == fresh.sets(c)
+    assert fresh.sets((0, 3)) == {(1, 3), (0, 2), (1, 2)}
+    assert is_acyclic(DescentCache(P, pairs)).acyclic
+
+
 def _check_descent_values(P: FacePoset, pairs, rule) -> None:
     """DescentCache's values and supports against FreshDescent under the oracle's face rule."""
+    _check_memo_keys(DescentCache(P, pairs))
     cache, fresh = DescentCache(P, pairs), FreshDescent(pairs, rule)
     for d in range(P.dim + 1):
         for c in P.cells(d):

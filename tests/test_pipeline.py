@@ -268,11 +268,12 @@ def test_report_n6_morse_route():
 
 def test_report_n6_memory():
     # One listing of Δ(6) per dimension, membership by bisecting those lists,
-    # shared descent values, and each cell one tuple shared by Δ's facets,
-    # the face levels and the matching: the rise is about 40 MB. It was
-    # 47 MB with copied triangles, matching cells and a cached census, and
-    # about 70 MB with a second listing, a frozenset of every cell and a new
-    # set per value.
+    # shared descent values, each cell one tuple shared by Δ's facets, the
+    # face levels and the matching, and no upper cell in the descent memo:
+    # the rise is about 39.4 MB. It was 40.0 MB with upper cells in the memo
+    # and Δ's facets deduplicated through a hash set, 47 MB with copied
+    # triangles, matching cells and a cached census, and about 70 MB with a
+    # second listing, a frozenset of every cell and a new set per value.
     betti, rise_kb = _rss_rise("from expmorse.pipeline import theorem1_report",
                                "theorem1_report(6, include_bruteforce=False).betti")
     assert betti == "(1, 1, 10081, 0, 0, 1)"
