@@ -16,12 +16,6 @@ without listing them, one vertex at a time. The facets given are sorted as
 they come and deduplicated as adjacent equals, so a facet list that arrives
 sorted is sorted in one pass, and no hash set of all of them is built.
 
-A vertex is dominated when some other vertex is in every facet holding it,
-that is, when its set of facet ids lies inside another vertex's set.
-`Complex.strong_core` removes dominated vertices one at a time, each a
-strong collapse, until none is left; a complex with none is returned as it
-is, after a scan that copies nothing.
-
 `Complex.collapse` takes one step shape against that index: a family step
 (zs, xs, ys) removes at once every face of the facet zs + xs + ys that holds
 zs and two or more vertices of xs; fixing y0 in ys and pairing each such
@@ -37,8 +31,7 @@ import itertools
 from bisect import bisect_left
 from collections import Counter
 from math import comb
-from typing import (AbstractSet, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
-                    Union)
+from typing import AbstractSet, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .errors import InvalidArgumentError, PreconditionError, ResourceLimitError
 from .graphs import (Graph, Map, core_vertices, fold_core_exponential, map_label,
@@ -85,20 +78,6 @@ def _facet_index(facets: Sequence[Face], n: int) -> List[AbstractSet[int]]:
         for v in f:
             index[v].add(j)
     return index
-
-
-def _dominated(facets: Union[Sequence[Face], Dict[int, Face]],
-               index: Sequence[AbstractSet[int]], v: int) -> bool:
-    """Whether some other vertex u is in every facet holding v: ids(v) <= ids(u).
-
-    Such a u is in any one facet holding v, so only that facet's vertices are tried.
-    """
-    ids = index[v]
-    if ids:
-        for u in facets[next(iter(ids))]:
-            if u != v and ids <= index[u]:
-                return True
-    return False
 
 
 def _faces_of_dim(facets: Sequence[Face], dim: int) -> List[Face]:
@@ -267,49 +246,6 @@ class Complex:
                     f"steps (largest facet has {self.dim + 1} vertices), over the bound "
                     f"{DEFAULT_MAX_FACES}")
         return [self.faces_of_dim(d) for d in range(self.dim + 1)]
-
-    def strong_core(self) -> "Complex":
-        """The complex left once no vertex is dominated; `self` if none is to begin with.
-
-        A vertex v is dominated when every facet holding v also holds some
-        other vertex u. Removing v, which keeps the full subcomplex on the
-        other vertices, is then a strong collapse: the link of v is a cone
-        with apex u, and the result is homotopy equivalent to the complex,
-        with the same homology (Barmak & Minian, 2012). A read-only scan
-        finds the dominated vertices. If there are any, they are removed one
-        at a time: each facet F holding v becomes F - v, dropped if another
-        facet already holds it (one holding v would hold F), and only the
-        vertices that shared a facet with v are tested again. The labels are
-        kept; a removed vertex is in no facet.
-        """
-        queue = [v for v in range(len(self.labels)) if _dominated(self.facets, self._index, v)]
-        if not queue:
-            return self
-        table = dict(enumerate(self.facets))  # id -> facet, for the facets kept so far
-        index = [set(ids) for ids in self._index]
-        queued = set(queue)
-        while queue:
-            v = queue.pop()
-            queued.discard(v)
-            if not _dominated(table, index, v):
-                continue
-            near: Set[int] = set()
-            for j in index[v]:
-                f = table[j]
-                i = f.index(v)
-                rest = f[:i] + f[i + 1:]
-                near.update(rest)
-                if len(_holders(index, rest)) > 1:  # F - v lies in another facet too
-                    del table[j]
-                    for x in rest:
-                        index[x].discard(j)
-                else:
-                    table[j] = rest
-            index[v] = set()
-            fresh = near - queued
-            queue += fresh
-            queued |= fresh
-        return Complex(self.labels, table.values())
 
     def collapse(self, steps: Iterable[Sequence[Sequence[int]]]) -> "Complex":
         """Apply family steps (zs, xs, ys) in order, each checked against the complex as it stands.

@@ -3,23 +3,23 @@
 Vectors are Python ints (bit i = coordinate i), and a matrix is its list of
 columns, so adding one column to another is one big-int XOR. Rank is
 incremental: vectors are reduced one at a time against a pivot basis keyed
-by leading bit. Brute-force Betti numbers are ranked on the complex's
-strong-collapse core (`Complex.strong_core`), which has the same homology;
-the dimensions they verify are read off the complex itself, before it
-shrinks. They read dims 0-1 off the 1-skeleton as a graph: rank ∂₁ is f₀
-minus its components, counted by union-find, and the edges that join two
-components are ∂₁'s pivots. Edges are counted, not listed, unless their
-coboundary is reduced. Every boundary above ∂₁, up to the one whose faces
-are never listed, is ranked through its transpose, the coboundary, one
-level at a time: faces paired one level down are skipped, the pivots
-found are the faces the next level skips. A column's pivot is read off its
-face's least cofacet vertex, and the column itself is built, from the
-face's sorted cofacet vertices, only where two pivots collide.
-There it is a sum of sorted runs of codes (its own cofaces and each column
-added to it), merged lazily: only the entries below the next pivot are
-read. A column that finds a fresh pivot is stored as the set XOR of the
-runs' unread tails, sorted, in one int64 array (a list of ints where codes
-can pass int64); a column that never collided stays its face.
+by leading bit. Brute-force Betti numbers are ranked on the complex as
+given: a reduction that keeps the homotopy type belongs where the complex
+is built (a graph's folds before its neighborhood complex, a Hom poset's
+beat points before its order complex). They read dims 0-1 off the
+1-skeleton as a graph: rank ∂₁ is f₀ minus its components, counted by
+union-find, and the edges that join two components are ∂₁'s pivots. Edges
+are counted, not listed, unless their coboundary is reduced. Every boundary
+above ∂₁, up to the one whose faces are never listed, is ranked through its
+transpose, the coboundary, one level at a time: faces paired one level down
+are skipped, the pivots found are the faces the next level skips. A
+column's pivot is read off its face's least cofacet vertex, and the column
+itself is built, from the face's sorted cofacet vertices, only where two
+pivots collide. There it is a sum of sorted runs of codes (its own cofaces
+and each column added to it), merged lazily: only the entries below the
+next pivot are read. A column that finds a fresh pivot is stored as the set
+XOR of the runs' unread tails, sorted, in one int64 array (a list of ints
+where codes can pass int64); a column that never collided stays its face.
 
 The top boundary ∂_{v+1}, whose faces are never listed, has a second
 route: the boundaries of the cones on each facet's least vertex span it
@@ -170,16 +170,10 @@ class BettiTable:
 
 
 def betti_bounded(C: Complex, maxdim: int, max_faces: int = DEFAULT_MAX_FACES) -> BettiTable:
-    """Brute-force Z2 Betti numbers of dimensions 0..maxdim.
+    """Brute-force Z2 Betti numbers of dimensions 0..maxdim, ranked on C as given.
 
     The verified dimension v is the largest d <= maxdim whose face estimates
-    for dimensions 0..d+1 fit the budget; v and every refusal are read off C
-    as given. The ranks are then taken on C's strong-collapse core: removing
-    a dominated vertex, one whose facets all hold some other vertex u, is a
-    strong collapse, since the vertex's link is a cone on u, so the core is
-    homotopy equivalent to C and has C's Betti numbers. It has no more faces
-    than C in any dimension, so it fits the budget too; when no vertex is
-    dominated it is C itself. Below, C is that core. Dims 0-1 are read off the
+    for dimensions 0..d+1 fit the budget. Dims 0-1 are read off the
     1-skeleton as a graph: f₀ is the number of vertices in some facet, and
     rank ∂₁ = f₀ - #components is the number of union-find joins (`_joins`),
     also at v = 0, where ∂₁ is the top. Edges are listed only where their
@@ -215,15 +209,10 @@ def betti_bounded(C: Complex, maxdim: int, max_faces: int = DEFAULT_MAX_FACES) -
     if v > max_faces:  # then v = maxdim > C.dim: a table of zeros longer than the budget
         raise ResourceLimitError(
             f"max dim {maxdim} is over the face budget {max_faces}")
-    return BettiTable(_ranked_betti(C.strong_core(), v), "bruteforce", v)
-
-
-def _ranked_betti(C: Complex, v: int) -> Tuple[int, ...]:
-    """Betti numbers of dims 0..v by rank, once `betti_bounded` has found v fits the budget."""
     dims = min(v, C.dim) + 1  # the dimensions 0..v that have faces
     # the last level whose coboundary is ranked: the top only if the dimension above has faces
     last = dims - 1 if C.dim > v else dims - 2
-    # dims 0..v fit the budget (betti_bounded checked): counting and listing need no check here
+    # dims 0..v fit the budget: counting and listing need no check here
     sizes = [len(set().union(*C.facets))]  # sizes[d] = f_d
     ranks = [0] * (dims + 2)  # ranks[d] = rank ∂_d
     if dims > 2:  # the edges' coboundary is reduced: they are listed, as are the levels above
@@ -249,7 +238,7 @@ def _ranked_betti(C: Complex, v: int) -> Tuple[int, ...]:
             paired = set(pivots)
 
     betti = tuple(sizes[k] - ranks[k] - ranks[k + 1] for k in range(dims))
-    return betti + (0,) * (v + 1 - dims)
+    return BettiTable(betti + (0,) * (v + 1 - dims), "bruteforce", v)
 
 
 def _reduce_coboundary(C: Complex, faces: List[Face],

@@ -134,9 +134,14 @@ def order_complex_of_hom(cells: Sequence[Cell],
     is a strong deformation retract of the poset (Stong, 1966) and a strong
     collapse of its order complex (Barmak & Minian, 2012), so the result
     has the homotopy type of the whole order complex, and a poset without
-    beat points comes back whole. Vertices are the kept cells, in the given
-    order, labelled by their sets ("0|1 2": vertex 0 of H for the first
-    vertex of G, 1 and 2 for the second); facets are their maximal chains.
+    beat points comes back whole. The result has no dominated vertex, so
+    nothing is left for a strong collapse: were y in every maximal chain
+    through x, say x < y, every cell above x would be comparable with y, so
+    a maximal cell strictly between x and y, or x itself when there is
+    none, would have y as its only upper cover and be a beat point.
+    Vertices are the kept cells, in the given order, labelled by their sets
+    ("0|1 2": vertex 0 of H for the first vertex of G, 1 and 2 for the
+    second); facets are their maximal chains.
     Raises ResourceLimitError, before listing any chain, when those chains
     hold more than `max_faces` vertices in total; that total is the first
     face count `betti_bounded` checks, so nothing it would accept is refused.

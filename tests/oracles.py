@@ -155,11 +155,6 @@ def dominated_vertices(facets: Iterable[Iterable[int]]) -> Set[int]:
             if len(set.intersection(*(f for f in sets if v in f))) > 1}
 
 
-def induced_facets(facets: Iterable[Iterable[int]], keep: AbstractSet[int]) -> Tuple[Face, ...]:
-    """The facets of the full subcomplex on the vertices in `keep`, in lex order."""
-    return all_facets_maximal([v for v in f if v in keep] for f in facets)
-
-
 def cell_set(P: FacePoset) -> FrozenSet[Face]:
     """Every cell of the poset in one frozenset, which answers membership by hashing."""
     return frozenset(c for d in range(P.dim + 1) for c in P.cells(d))

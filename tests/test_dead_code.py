@@ -201,9 +201,8 @@ _REACH_COMMANDS = [
 def test_every_function_is_entered_by_a_command_or_the_benchmark(tmp_path):
     # Edges a-b, b-c, c-d and b-d: N(a) = {b} lies inside N(c) = {b, d}, so
     # the neighborhood complex has a nested facet (`_facet_index`) and the
-    # graph has a fold. The fold makes the vertex a dominated in the
-    # neighborhood complex, so `Complex.strong_core` removes it. Hom(K2, G)
-    # has beat points: its 20 cells shrink to a 12-cell core.
+    # graph has a fold. Hom(K2, G) has beat points: its 20 cells shrink to
+    # a 12-cell core.
     graph = tmp_path / "nested.json"
     graph.write_text(json.dumps({"labels": ["a", "b", "c", "d"],
                                  "edges": [[0, 1], [1, 2], [2, 3], [1, 3]],

@@ -15,7 +15,7 @@ from expmorse.gf2 import betti_bounded
 from expmorse.graphs import (Graph, _bits, complete_graph, cycle_graph,
                              fold_core_exponential)
 from expmorse.homc import HomPoset, enumerate_hom_cells, hom_poset, order_complex_of_hom
-from oracles import categorical_product, hom_cover_rule, hom_order_complex
+from oracles import categorical_product, dominated_vertices, hom_cover_rule, hom_order_complex
 
 
 def _brute_hom_cells(G: Graph, H: Graph):
@@ -168,8 +168,8 @@ _NESTED = Graph.from_edges(["a", "b", "c", "d"], [(0, 1), (1, 2), (2, 3), (1, 3)
 def test_order_complex_matches_brute_force_chains(G, H):
     # the order complex of the poset's core: the kept cells are a core of
     # the whole poset (no beat point left, as many cells as any core), its
-    # facets are their maximal chains, and its homology is the whole order
-    # complex's
+    # facets are their maximal chains, no vertex of it is dominated, and its
+    # homology is the whole order complex's
     cells = enumerate_hom_cells(G, H)
     assume(len(cells) <= 120)
     brute = _brute_hom_cells(G, H)
@@ -182,6 +182,7 @@ def test_order_complex_matches_brute_force_chains(G, H):
     assert got == want
     assert _brute_core(kept) == set(kept)
     assert len(kept) == len(_brute_core(brute))
+    assert not dominated_vertices(OC.facets)
     full = hom_order_complex(cells)
     top = max(full.dim, 0)
     assert betti_bounded(OC, top) == betti_bounded(full, top)
@@ -203,11 +204,15 @@ def test_hom_core_has_every_dimension_of_the_whole_poset():
         assert core == betti_bounded(hom_order_complex(cells), top)
 
 
-@pytest.mark.parametrize("b,want", [(3, (1, 1)), (4, (1, 0, 1))])
+@pytest.mark.parametrize("b,want", [(3, (1, 1)), (4, (1, 0, 1)), (5, (1, 0, 0, 1)),
+                                    (6, (1, 0, 0, 0, 1))])
 def test_hom_edge_to_clique_spheres(b, want):
     cells = enumerate_hom_cells(complete_graph(2), complete_graph(b))
     OC = order_complex_of_hom(cells)
     assert betti_bounded(OC, len(want) - 1).betti == want
+    # a poset without beat points has an order complex without dominated
+    # vertices, so there is nothing left for a strong collapse to remove
+    assert not dominated_vertices(OC.facets)
 
 
 def test_hom_of_disjoint_edges_is_a_torus():

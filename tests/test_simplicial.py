@@ -17,8 +17,7 @@ from expmorse.complexes import (Complex, build_delta, complex_to_json,
 from expmorse.errors import (InvalidArgumentError, PreconditionError,
                              ResourceLimitError)
 from expmorse.graphs import complete_graph, cycle_graph, fold_core_exponential
-from oracles import (BitmaskComplex, _cascade_steps, _free_family_steps, all_facets_maximal,
-                     dominated_vertices, induced_facets)
+from oracles import BitmaskComplex, _cascade_steps, _free_family_steps, all_facets_maximal
 from test_gf2 import _rss_rise, shaped_complexes
 
 
@@ -436,47 +435,6 @@ def test_collapse_route_agrees_with_elementary_cascade(n):
     NC = neighborhood_complex(fold_core_exponential(n + 1, n))
     O = BitmaskComplex(NC.labels, NC.facets).collapse(_cascade_steps(n))
     assert O.facets == delta_via_collapse(n).facets
-
-
-@settings(max_examples=200)
-@given(shaped_complexes())
-def test_strong_core_removes_one_dominated_vertex_at_a_time(shaped):
-    shape, C = shaped
-    removed = []  # the vertices strong_core removes, in order
-    dominated = complexes._dominated
-
-    def spy(facets, index, v):
-        hit = dominated(facets, index, v)
-        if hit and isinstance(facets, dict):  # past the read-only scan: v goes
-            removed.append(v)
-        return hit
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(complexes, "_dominated", spy)
-        K = C.strong_core()
-    # each was dominated in the full subcomplex on the vertices left when it went
-    keep = set().union(*C.facets)
-    for v in removed:
-        assert v in dominated_vertices(induced_facets(C.facets, keep))
-        keep.remove(v)
-    assert K.labels == C.labels and K.facets == induced_facets(C.facets, keep)
-    assert not dominated_vertices(K.facets)
-    assert (K is C) == (not dominated_vertices(C.facets))
-    if shape == "cone":
-        assert len(K.facets) == 1 and len(K.facets[0]) == 1
-
-
-@pytest.mark.parametrize("build", [
-    lambda: neighborhood_complex(fold_core_exponential(5, 4)),
-    lambda: neighborhood_complex(fold_core_exponential(6, 5)),
-    lambda: build_delta(5),
-    lambda: build_delta(6),
-], ids=["NC4", "NC5", "delta5", "delta6"])
-def test_strong_core_of_the_paper_complexes_is_the_complex_itself(build):
-    # no vertex of these is dominated, so the scan copies nothing and
-    # betti_bounded ranks the very same object
-    C = build()
-    assert C.strong_core() is C
 
 
 def test_neighborhood_complex_facets_are_maximal_neighborhoods():
