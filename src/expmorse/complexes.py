@@ -158,19 +158,12 @@ class Complex:
     def cofacet_vertices(self, face: Sequence[int]) -> List[int]:
         """The vertices v not in `face` with face + (v,) a face, ascending.
 
-        That is the union of the facets containing `face`, minus `face`: with
-        one such facet, just its vertices outside `face`. It is empty when
-        `face` is not a face.
+        That is the union of the facets containing `face`, minus `face`,
+        sorted. It is empty when `face` is not a face.
         """
         if face and (min(face) < 0 or max(face) >= len(self.labels)):
             return []
         held = _holders(self._index, face) if face else range(len(self.facets))
-        if len(held) == 1:
-            (j,) = held
-            verts = list(self.facets[j])
-            for v in set(face):
-                verts.remove(v)
-            return verts
         verts: Set[int] = set()
         for j in held:
             verts.update(self.facets[j])

@@ -15,11 +15,13 @@ transpose, the coboundary, one level at a time: faces paired one level down
 are skipped, the pivots found are the faces the next level skips. A
 column's pivot is read off its face's least cofacet vertex, and the column
 itself is built, from the face's sorted cofacet vertices, only where two
-pivots collide. There it is a sum of sorted runs of codes (its own cofaces
-and each column added to it), merged lazily: only the entries below the
-next pivot are read. A column that finds a fresh pivot is stored as the set
-XOR of the runs' unread tails, sorted, in one int64 array (a list of ints
-where codes can pass int64); a column that never collided stays its face.
+pivots collide; both code a coface by one formula, inserting its new
+vertex as a digit where it sorts. A built column is a sum of sorted runs of
+codes (its own cofaces and each column added to it), merged lazily: only
+the entries below the next pivot are read. A column that finds a fresh
+pivot is stored as the set XOR of the runs' unread tails, sorted, in one
+int64 array (a list of ints where codes can pass int64); a column that
+never collided stays its face.
 
 The top boundary ∂_{v+1}, whose faces are never listed, has a second
 route: the boundaries of the cones on each facet's least vertex span it
@@ -230,7 +232,7 @@ def betti_bounded(C: Complex, maxdim: int, max_faces: int = DEFAULT_MAX_FACES) -
             break
         faces = C.faces_of_dim(k)
         if k == 1:  # the edges that join two components, in lex order, are ∂₁'s pivots
-            paired = {faces[j][0] * C.vertex_count + faces[j][1] for j in _joins(faces)}
+            paired = {_code(faces[j], C.vertex_count) for j in _joins(faces)}
             ranks[1] = len(paired)
         pivots = _reduce_coboundary(C, faces, paired)
         ranks[k + 1] = len(pivots)
@@ -241,23 +243,31 @@ def betti_bounded(C: Complex, maxdim: int, max_faces: int = DEFAULT_MAX_FACES) -
     return BettiTable(betti + (0,) * (v + 1 - dims), "bruteforce", v)
 
 
+def _code(face: Sequence[int], base: int) -> int:
+    """The face's vertices read as base-`base` digits: codes order faces as lex order does."""
+    c = 0
+    for x in face:
+        c = c * base + x
+    return c
+
+
 def _reduce_coboundary(C: Complex, faces: List[Face],
                        skip: AbstractSet[int]
                        ) -> Dict[int, Union[Face, array[int], List[int]]]:
     """The reduced coboundary on `faces` (every face of one dimension, in lex order).
 
     Returns the nonzero reduced columns keyed by their pivots, so its size is
-    the rank of the boundary one dimension up and its keys are the codes of
-    the faces there paired with these. A face's code reads its vertices as
-    base-V digits, so codes order faces as lex order does. Columns are
+    the rank of the boundary one dimension up and its keys are the codes
+    (`_code`, base V) of the faces there paired with these. Columns are
     reduced in reverse lex order with the lex-least cofacet as pivot;
     homology and cohomology then pair the same faces (de Silva, Morozov &
     Vejdemo-Johansson, 2011), so a face whose code is in `skip` (one paired
     one level down) has a coboundary column that reduces to zero and is
     skipped (clearing; Chen & Kerber, 2011). As in Bauer's Ripser (2021), a
     column whose pivot is unclaimed is kept as its face alone: the pivot is
-    face + (v,) for the least cofacet vertex v, coded by inserting the digit
-    v where it sorts.
+    face + (v,) for the least cofacet vertex v. Pivots and whole columns
+    code each coface one way, by `insert`: from the face's code, the digit v
+    goes where v sorts among the face's.
 
     It serves every listed level, and the streamed top unless `betti_bounded`
     ranks that from facet cones.
@@ -281,52 +291,39 @@ def _reduce_coboundary(C: Complex, faces: List[Face],
     # every coface code is below base ** (k + 1); int64 holds them up to 2**63 - 1
     store = partial(array, "q") if base ** (k + 1) <= 2 ** 63 else list
 
-    def code(face: Face) -> int:
-        c = 0
-        for x in face:
-            c = c * base + x
-        return c
+    def insert(face: Face, c: int, v: int) -> int:
+        """The code of face + (v,), from c, face's code: digit v goes where v sorts."""
+        w = powers[k - bisect_left(face, v)]
+        return c // w * base * w + v * w + c % w
 
-    def cofaces(face: Face, c: int) -> List[int]:
-        """Codes of face + (v,) for the cofacet vertices v, ascending; c is face's code.
+    def cofaces(face: Face) -> List[int]:
+        """Codes of face + (v,) for the cofacet vertices v, ascending.
 
-        The vertices between face[p-1] and face[p] become digit p, so each
-        such stretch maps to codes a + v*w for one a and w, above the stretch
-        before; the vertices above the face become the last digit (w = 1).
+        They ascend with v: for v₁ < v₂, where face + (v₁,) and face + (v₂,)
+        first differ, v₁ meets a larger vertex (v₂, or a vertex of the face
+        above v₁).
         """
-        verts = C.cofacet_vertices(face)
-        out: List[int] = []
-        lo = 0
-        for p in range(k):
-            hi = bisect_left(verts, face[p], lo)
-            if hi > lo:
-                w = powers[k - p]
-                a = c // w * base * w + c % w
-                out += [a + v * w for v in verts[lo:hi]]
-                lo = hi
-        a = c * base
-        out += [a + v for v in verts[lo:]]
-        return out
+        c = _code(face, base)
+        return [insert(face, c, v) for v in C.cofacet_vertices(face)]
 
     owner: Dict[int, Union[Face, array[int], List[int]]] = {}  # pivot -> face or column
     for face in reversed(faces):
-        c = code(face)
+        c = _code(face, base)
         if c in skip:
             continue
         v = least(face)
         if v is None:
             continue
-        w = powers[k - bisect_left(face, v)]
-        pivot = c // w * base * w + v * w + c % w
+        pivot = insert(face, c, v)
         held = owner.get(pivot)
         if held is None:
             owner[pivot] = face
             continue
         # (head, tag, rest) sorted by head; distinct tags keep the iterators uncompared
         runs: List[Tuple[int, int, Iterator[int]]] = []
-        _add_run(runs, cofaces(face, c), 0)
+        _add_run(runs, cofaces(face), 0)
         for tag in count(1):
-            _add_run(runs, cofaces(held, code(held)) if isinstance(held, tuple) else held, tag)
+            _add_run(runs, cofaces(held) if isinstance(held, tuple) else held, tag)
             pivot = _next_pivot(runs)
             if pivot is None:
                 break

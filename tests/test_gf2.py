@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from array import array
 from math import comb
 from pathlib import Path
@@ -565,6 +566,22 @@ def test_delta6_brute_force_memory():
                                "betti_bounded(C, 5).betti")
     assert betti == "(1, 1, 10081, 0, 0, 1)"
     assert rise_kb < 5 * 1024
+
+
+def test_delta6_brute_force_allocation_peak():
+    # the pass's own peak, traced around betti_bounded alone, so unlike the
+    # VmHWM rise above it does not move when Δ's build peak does. It is
+    # about 10.74 MiB (the face levels of dims 1-5 and the stored columns),
+    # and the bound is a quarter above that plus 1 MB.
+    C = build_delta(6)
+    tracemalloc.start()
+    try:
+        betti = betti_bounded(C, 5).betti
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert betti == (1, 1, 10081, 0, 0, 1)
+    assert peak < 15 * 2 ** 20
 
 
 def test_nc5_brute_force_memory():

@@ -42,6 +42,9 @@ PINNED_COMMANDS = {
     "verify-n3-all.txt": ["verify", "--n", "3", "--lemma", "all"],
     "verify-n4-all.txt": ["verify", "--n", "4", "--lemma", "all"],
     "compute-exp-3-2.json": ["compute", "homology", "--exp", "3", "2", "--max-dim", "2"],
+    # the one pinned streamed top ranked on the coboundary route: NC's ∂₃ here
+    "compute-exp-5-3-max-dim-2.json": ["compute", "homology", "--exp", "5", "3",
+                                       "--max-dim", "2"],
     "compute-hom-k2-k6.json": ["compute", "hom", "--g", "k2", "--h", "k6"],
     "compute-c9.csv": ["compute", "homology", "--graph", "c9", "--format", "csv"],
     "compute-k3-max-dim-5.csv": ["compute", "homology", "--graph", "k3", "--max-dim", "5",
